@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the core building blocks: MD5
 // hashing, the discrete-event queue, the SACK interval set, the payload
-// generator, trace analysis, and the PRNG. These bound the simulator's own
-// overheads so the figure benches' wall-clock behaviour is explainable.
+// generator and verifier, trace analysis, and the PRNG. These bound the
+// simulator's own overheads so the figure benches' wall-clock behaviour is
+// explainable.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -95,6 +96,24 @@ void BM_PayloadGenerator(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_PayloadGenerator)->Arg(16 << 10)->Arg(256 << 10);
+
+// The sink's per-read work: MD5 plus the content check against the
+// generator, fed one socket-read-sized span at a time.
+void BM_PayloadVerify(benchmark::State& state) {
+  std::vector<std::uint8_t> buf(static_cast<std::size_t>(state.range(0)));
+  lsl::core::PayloadGenerator gen(42);
+  lsl::core::PayloadVerifier ver(42);
+  for (auto _ : state) {
+    state.PauseTiming();
+    gen.generate(buf);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(ver.feed(buf));
+  }
+  if (!ver.ok()) state.SkipWithError("content check failed");
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_PayloadVerify)->Arg(64 << 10);
 
 void BM_Rng(benchmark::State& state) {
   lsl::util::Rng rng(3);

@@ -88,8 +88,10 @@ trap 'rm -rf "$tmp"' EXIT
 ./build/tools/lsl_load --sessions=64 --bytes=8m --budget=32m --no-splice \
   --json="$tmp/pool.json"
 
-# Core micro-benchmarks (MD5 + payload generator bound the copy path).
-./build/bench/micro_core --benchmark_filter='BM_Md5Throughput/65536|BM_PayloadGenerate' \
+# Core micro-benchmarks: the endpoint byte path (source MD5 + payload
+# generator, sink MD5 + content check). Recorded only, not gated.
+./build/bench/micro_core \
+  --benchmark_filter='BM_Md5Throughput/65536|BM_PayloadGenerator/262144|BM_PayloadVerify/65536' \
   --benchmark_min_time=0.05 --benchmark_format=json \
   >"$tmp/micro.json" 2>/dev/null
 
@@ -188,6 +190,8 @@ result = {
     "pool_budget_bytes": pool["pool_budget_bytes"],
     "peak_rss_bytes": max(splice["peak_rss_bytes"], pool["peak_rss_bytes"]),
     "md5_bytes_per_second": bench.get("BM_Md5Throughput/65536"),
+    "payload_bytes_per_second": bench.get("BM_PayloadGenerator/262144"),
+    "verify_bytes_per_second": bench.get("BM_PayloadVerify/65536"),
     "shard_scaling": {
         "cores": [1, 2],
         "aggregate_mbps": [round(splice["aggregate_mbps"], 3),

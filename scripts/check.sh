@@ -54,7 +54,13 @@ for config in "${configs[@]}"; do
   case "$config" in
     plain) build_and_test build-check ;;
     asan)  build_and_test build-check-asan  -DLSL_SANITIZE=address ;;
-    ubsan) build_and_test build-check-ubsan -DLSL_SANITIZE=undefined ;;
+    ubsan) build_and_test build-check-ubsan -DLSL_SANITIZE=undefined
+           # UBSan only reports by default. The MD5 and payload kernels load
+           # and store words with memcpy at arbitrary byte offsets, so their
+           # suites run again with any report failing the leg.
+           UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+             ctest --test-dir build-check-ubsan --output-on-failure \
+                   -R '^(md5_test|lsl_core_test)$' --timeout "$test_timeout" ;;
     tsan)  build_and_test build-check-tsan  -DLSL_SANITIZE=thread ;;
     lint)  scripts/lint.sh ;;
     tidy)  scripts/tidy.sh ;;

@@ -1,42 +1,72 @@
 #include "lsl/payload.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
 #include <vector>
 
 namespace lsl::core {
 
-void PayloadGenerator::generate(std::span<std::uint8_t> out) {
-  std::size_t i = 0;
-  while (i < out.size()) {
-    const std::uint64_t word_index = (position_ + i) / 8;
-    const std::uint32_t word_off = static_cast<std::uint32_t>((position_ + i) % 8);
-    // splitmix64-style mix of (seed, word index): random access per word.
-    std::uint64_t z = mix_ + 0x9e3779b97f4a7c15ull * (word_index + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    const std::size_t take =
-        std::min<std::size_t>(8 - word_off, out.size() - i);
-    for (std::size_t b = 0; b < take; ++b) {
-      out[i + b] = static_cast<std::uint8_t>(z >> (8 * (word_off + b)));
-    }
-    i += take;
+namespace {
+
+// splitmix64-style mix of (seed, word index): word w holds stream bytes
+// [8w, 8w + 8), least significant byte first, so the content is random
+// access per word.
+std::uint64_t stream_word(std::uint64_t mix, std::uint64_t word_index) {
+  std::uint64_t z = mix + 0x9e3779b97f4a7c15ull * (word_index + 1);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+// Bytes [from, from + n) of a stream word, for a partial word at either
+// end of a generate() call.
+void emit_partial(std::uint8_t* out, std::uint64_t word, unsigned from,
+                  std::size_t n) {
+  word >>= 8 * from;
+  for (std::size_t b = 0; b < n; ++b) {
+    out[b] = static_cast<std::uint8_t>(word >> (8 * b));
   }
-  position_ += out.size();
+}
+
+}  // namespace
+
+void PayloadGenerator::generate(std::span<std::uint8_t> out) {
+  std::uint8_t* p = out.data();
+  std::size_t n = out.size();
+  std::uint64_t word = position_ / 8;
+  const auto head_off = static_cast<unsigned>(position_ % 8);
+  position_ += n;
+
+  if (head_off != 0 && n > 0) {
+    const std::size_t take = std::min<std::size_t>(8 - head_off, n);
+    emit_partial(p, stream_word(mix_, word++), head_off, take);
+    p += take;
+    n -= take;
+  }
+  for (; n >= 8; n -= 8, p += 8) {
+    std::uint64_t z = stream_word(mix_, word++);
+    if constexpr (std::endian::native == std::endian::big) {
+      z = __builtin_bswap64(z);
+    }
+    std::memcpy(p, &z, sizeof z);
+  }
+  if (n > 0) emit_partial(p, stream_word(mix_, word), 0, n);
 }
 
 bool PayloadVerifier::feed(std::span<const std::uint8_t> data) {
-  hasher_.update(data);
-  if (!check_content_ || !ok_) {
-    verified_ += data.size();
-    return ok_;
-  }
-  std::vector<std::uint8_t> expected(data.size());
-  expect_.generate(expected);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (data[i] != expected[i]) {
-      ok_ = false;
-      break;
+  // After a mismatch the hash still covers every byte fed: the sink
+  // compares it against the sender's digest trailer. `expected` is left
+  // uninitialized because generate() writes every byte memcmp reads.
+  std::array<std::uint8_t, kTileBytes> expected;
+  for (std::size_t off = 0; off < data.size(); off += kTileBytes) {
+    const auto tile =
+        data.subspan(off, std::min(kTileBytes, data.size() - off));
+    hasher_.update(tile);
+    if (check_content_ && ok_) {
+      expect_.generate(std::span<std::uint8_t>(expected.data(), tile.size()));
+      ok_ = std::memcmp(tile.data(), expected.data(), tile.size()) == 0;
     }
   }
   verified_ += data.size();

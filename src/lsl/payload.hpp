@@ -7,6 +7,7 @@
 // transfer would, but without storing multi-megabyte fixtures.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -47,8 +48,13 @@ class PayloadVerifier {
   explicit PayloadVerifier(std::uint64_t seed, bool check_content = true)
       : expect_(seed), check_content_(check_content) {}
 
+  /// feed() hashes and compares in tiles of this many bytes on the stack:
+  /// small enough to stay in L1 between the two passes, a multiple of the
+  /// MD5 block.
+  static constexpr std::size_t kTileBytes = 4096;
+
   /// Check the next received chunk. Returns false (and latches failure) on
-  /// the first mismatching byte.
+  /// the first mismatching byte; the MD5 still absorbs every byte fed.
   bool feed(std::span<const std::uint8_t> data);
 
   bool ok() const { return ok_; }

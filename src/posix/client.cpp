@@ -48,6 +48,7 @@ void PosixSource::start() {
 
 void PosixSource::open_connection(std::uint64_t offset) {
   staged_.clear();
+  staged_len_ = 0;
   staged_off_ = 0;
   wire_written_ = 0;
   conn_offset_ = offset;
@@ -85,7 +86,8 @@ void PosixSource::open_connection(std::uint64_t offset) {
     h.destination = {config_.destination.addr, config_.destination.port};
     core::encode_header(h, staged_);
   }
-  header_wire_bytes_ = staged_.size();
+  staged_len_ = staged_.size();
+  header_wire_bytes_ = staged_len_;
 
   const InetAddress first =
       config_.route.empty() ? config_.destination : config_.route[0];
@@ -253,9 +255,9 @@ void PosixSource::pump() {
   if (finished_ || write_done_) return;
   for (;;) {
     // Flush the staged buffer.
-    while (staged_off_ < staged_.size()) {
+    while (staged_off_ < staged_len_) {
       const long n = write_some(sock_.get(), staged_.data() + staged_off_,
-                                staged_.size() - staged_off_);
+                                staged_len_ - staged_off_);
       if (n < 0) {
         handle_connection_error();
         return;
@@ -268,22 +270,23 @@ void PosixSource::pump() {
       wire_written_ += static_cast<std::uint64_t>(n);
       note_acked();
     }
-    staged_.clear();
+    staged_len_ = 0;
     staged_off_ = 0;
 
-    // Refill with payload or trailer.
+    // Refill with payload or trailer. staged_ is resized only when too
+    // small, so a refill does not zero-fill bytes the payload overwrites.
     if (payload_left_ > 0) {
       const std::size_t chunk = static_cast<std::size_t>(
           std::min<std::uint64_t>(payload_left_, 64 * 1024));
-      staged_.resize(chunk);
+      if (staged_.size() < chunk) staged_.resize(chunk);
+      staged_len_ = chunk;
+      const std::span<std::uint8_t> out(staged_.data(), chunk);
       if (config_.payload_fill) {
-        config_.payload_fill(config_.payload_bytes - payload_left_, staged_);
+        config_.payload_fill(config_.payload_bytes - payload_left_, out);
       } else {
-        generator_.generate(staged_);
+        generator_.generate(out);
       }
-      if (!config_.trailer_digest) {
-        hasher_.update(std::span<const std::uint8_t>(staged_.data(), chunk));
-      }
+      if (!config_.trailer_digest) hasher_.update(out);
       if (config_.corrupt_one_byte && !corrupted_yet_) {
         staged_[chunk / 2] ^= 0xff;  // after hashing: wire differs from hash
         corrupted_yet_ = true;
@@ -295,6 +298,7 @@ void PosixSource::pump() {
       const md5::Digest d = config_.trailer_digest ? *config_.trailer_digest
                                                    : hasher_.finalize();
       staged_.assign(d.bytes.begin(), d.bytes.end());
+      staged_len_ = staged_.size();
       trailer_sent_ = true;
       continue;
     }

@@ -143,6 +143,7 @@ class PosixSource {
   bool finished_ = false;
 
   std::vector<std::uint8_t> staged_;  ///< header, then refilled chunks
+  std::size_t staged_len_ = 0;        ///< bytes of staged_ to send
   std::size_t staged_off_ = 0;
   std::uint64_t payload_left_ = 0;
   core::PayloadGenerator generator_;

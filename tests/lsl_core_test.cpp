@@ -3,6 +3,8 @@
 // route selector.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -11,6 +13,7 @@
 #include "lsl/selector.hpp"
 #include "lsl/session_id.hpp"
 #include "lsl/wire.hpp"
+#include "stripe/plan.hpp"
 #include "util/rng.hpp"
 
 namespace lsl::core {
@@ -188,6 +191,170 @@ TEST(Payload, StreamDigestMatchesIncrementalHash) {
     h.update(buf);
   }
   EXPECT_EQ(h.finalize(), stream_digest(123, total));
+}
+
+// Golden stream bytes. Same-seed sim exports and the benchmark's simulator
+// reference depend on this exact stream, so any change to generate() must
+// reproduce it byte for byte.
+struct GoldenSlice {
+  std::uint64_t seed;
+  std::uint64_t position;
+  std::array<std::uint8_t, 32> bytes;
+};
+
+constexpr GoldenSlice kGolden[] = {
+    {1, 0, {0x82, 0xad, 0xe3, 0x9b, 0x79, 0xa0, 0xa7, 0xb0, 0x18, 0x47, 0x32,
+            0xc7, 0xaf, 0x2d, 0x35, 0xd3, 0x47, 0xcf, 0xbf, 0x00, 0x01, 0xa0,
+            0x9b, 0x9e, 0xfc, 0xb7, 0xe3, 0x71, 0x86, 0x02, 0x1f, 0x0d}},
+    {1, 3, {0x9b, 0x79, 0xa0, 0xa7, 0xb0, 0x18, 0x47, 0x32, 0xc7, 0xaf, 0x2d,
+            0x35, 0xd3, 0x47, 0xcf, 0xbf, 0x00, 0x01, 0xa0, 0x9b, 0x9e, 0xfc,
+            0xb7, 0xe3, 0x71, 0x86, 0x02, 0x1f, 0x0d, 0x70, 0x62, 0x87}},
+    {1, 8, {0x18, 0x47, 0x32, 0xc7, 0xaf, 0x2d, 0x35, 0xd3, 0x47, 0xcf, 0xbf,
+            0x00, 0x01, 0xa0, 0x9b, 0x9e, 0xfc, 0xb7, 0xe3, 0x71, 0x86, 0x02,
+            0x1f, 0x0d, 0x70, 0x62, 0x87, 0x6f, 0x9e, 0x3d, 0x7d, 0xd6}},
+    {1, 13, {0x2d, 0x35, 0xd3, 0x47, 0xcf, 0xbf, 0x00, 0x01, 0xa0, 0x9b, 0x9e,
+             0xfc, 0xb7, 0xe3, 0x71, 0x86, 0x02, 0x1f, 0x0d, 0x70, 0x62, 0x87,
+             0x6f, 0x9e, 0x3d, 0x7d, 0xd6, 0xd3, 0x33, 0x82, 0xf7, 0x70}},
+    {0xfeedfacecafebeef, 0,
+     {0x93, 0x0d, 0x5a, 0x32, 0x3c, 0xeb, 0x84, 0xb8, 0x74, 0xb0, 0xcf,
+      0xff, 0xe3, 0x42, 0x4b, 0xdf, 0x22, 0x31, 0xa5, 0x6c, 0x9f, 0xc6,
+      0xcf, 0x7d, 0xb1, 0x14, 0xdd, 0xda, 0x21, 0xfd, 0x1d, 0xeb}},
+    {0xfeedfacecafebeef, 3,
+     {0x32, 0x3c, 0xeb, 0x84, 0xb8, 0x74, 0xb0, 0xcf, 0xff, 0xe3, 0x42,
+      0x4b, 0xdf, 0x22, 0x31, 0xa5, 0x6c, 0x9f, 0xc6, 0xcf, 0x7d, 0xb1,
+      0x14, 0xdd, 0xda, 0x21, 0xfd, 0x1d, 0xeb, 0xfb, 0xa2, 0x3e}},
+    {0xfeedfacecafebeef, 8,
+     {0x74, 0xb0, 0xcf, 0xff, 0xe3, 0x42, 0x4b, 0xdf, 0x22, 0x31, 0xa5,
+      0x6c, 0x9f, 0xc6, 0xcf, 0x7d, 0xb1, 0x14, 0xdd, 0xda, 0x21, 0xfd,
+      0x1d, 0xeb, 0xfb, 0xa2, 0x3e, 0xac, 0xa3, 0x9f, 0x64, 0x52}},
+    {0xfeedfacecafebeef, 13,
+     {0x42, 0x4b, 0xdf, 0x22, 0x31, 0xa5, 0x6c, 0x9f, 0xc6, 0xcf, 0x7d,
+      0xb1, 0x14, 0xdd, 0xda, 0x21, 0xfd, 0x1d, 0xeb, 0xfb, 0xa2, 0x3e,
+      0xac, 0xa3, 0x9f, 0x64, 0x52, 0xec, 0x12, 0xd5, 0x08, 0x8a}},
+};
+
+TEST(Payload, GoldenVectors) {
+  for (const GoldenSlice& g : kGolden) {
+    PayloadGenerator gen(g.seed);
+    gen.seek(g.position);
+    std::array<std::uint8_t, 32> got{};
+    gen.generate(got);
+    EXPECT_EQ(got, g.bytes) << "seed=" << g.seed << " position=" << g.position;
+  }
+  // Whole-stream digests from the same capture, across many words.
+  EXPECT_EQ(stream_digest(1, (1u << 20) + 7).hex(),
+            "7f34c8868cbd162d3cc6e9f47674e8b3");
+  EXPECT_EQ(stream_digest(0xfeedfacecafebeef, (1u << 20) + 7).hex(),
+            "b5804bc7552e9908d70f47d6abf7f921");
+}
+
+TEST(Payload, SeekThenGenerateMatchesWholeStream) {
+  // Every start phase within a word (p mod 8) and every length that ends
+  // inside the head word, on a word boundary, or in a tail after full words.
+  PayloadGenerator whole_gen(31);
+  std::vector<std::uint8_t> whole(64);
+  whole_gen.generate(whole);
+  for (std::uint64_t p = 0; p < 16; ++p) {
+    for (std::size_t n = 0; n <= 33; ++n) {
+      PayloadGenerator gen(31);
+      gen.seek(p);
+      std::vector<std::uint8_t> got(n);
+      gen.generate(got);
+      EXPECT_EQ(gen.position(), p + n);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), whole.begin() + p))
+          << "p=" << p << " n=" << n;
+    }
+  }
+}
+
+TEST(Payload, StripedLaneSeekPatternMatchesWholeStream) {
+  // Rebuild a merged stream the way a striped source fills its lanes: each
+  // lane's LaneCursor yields ranges of the merged stream, and the generator
+  // seeks to each range's global offset. A cell size that is not a multiple
+  // of 8 starts ranges at every word phase.
+  constexpr std::uint64_t kTotal = 50'000;
+  PayloadGenerator whole_gen(99);
+  std::vector<std::uint8_t> whole(kTotal);
+  whole_gen.generate(whole);
+
+  const auto plan = stripe::StripePlan::round_robin(kTotal, 3, 1'237);
+  std::vector<std::uint8_t> merged(kTotal);
+  std::uint64_t covered = 0;
+  for (std::size_t lane = 0; lane < plan.lanes.size(); ++lane) {
+    stripe::LaneCursor cursor(plan.lanes[lane], plan.lane_bytes[lane]);
+    PayloadGenerator gen(99);
+    while (!cursor.done()) {
+      const auto r = cursor.next(5'000);
+      ASSERT_GT(r.length, 0u);
+      gen.seek(r.global);
+      gen.generate(std::span<std::uint8_t>(
+          merged.data() + r.global, static_cast<std::size_t>(r.length)));
+      covered += r.length;
+    }
+  }
+  EXPECT_EQ(covered, kTotal);
+  EXPECT_EQ(merged, whole);
+}
+
+// A verifier that has already accepted `fed` bytes of the seed-8 stream,
+// and the next `len` stream bytes for it.
+struct VerifierAt {
+  PayloadVerifier ver{8};
+  std::vector<std::uint8_t> next;
+
+  VerifierAt(std::size_t fed, std::size_t len) : next(len) {
+    PayloadGenerator gen(8);
+    std::vector<std::uint8_t> prefix(fed);
+    gen.generate(prefix);
+    EXPECT_TRUE(ver.feed(prefix));
+    gen.generate(next);
+  }
+};
+
+TEST(Payload, VerifierCatchesMismatchInLastByteOfUnalignedTail) {
+  // The feed starts mid-word and its length leaves a partial word at the
+  // end (and, past one tile, a partial tile).
+  for (std::size_t len : {1u, 5u, 13u, 4099u, 10'005u}) {
+    VerifierAt v(3, len);
+    v.next.back() ^= 0x80;
+    EXPECT_FALSE(v.ver.feed(v.next)) << "len=" << len;
+    EXPECT_FALSE(v.ver.ok());
+  }
+}
+
+TEST(Payload, VerifierCatchesMismatchAtTileBoundary) {
+  constexpr std::size_t kTile = PayloadVerifier::kTileBytes;
+  // Last byte of the first tile, first byte of the second, and a two-byte
+  // flip straddling them.
+  for (std::size_t first : {kTile - 1, kTile}) {
+    for (std::size_t width : {1u, 2u}) {
+      if (first == kTile && width == 2) continue;
+      VerifierAt v(0, 3 * kTile);
+      for (std::size_t i = first; i < first + width; ++i) v.next[i] ^= 0x01;
+      EXPECT_FALSE(v.ver.feed(v.next)) << "first=" << first << " w=" << width;
+    }
+  }
+}
+
+TEST(Payload, VerifierDigestAndCountCoverEveryByteAfterMismatch) {
+  // The sink compares digest() against the sender's trailer even after a
+  // content mismatch, so the hash must cover the bad bytes and everything
+  // fed after them, and verified_bytes() must count them all.
+  VerifierAt v(5, 3 * PayloadVerifier::kTileBytes + 11);
+  v.next[100] ^= 0xff;
+  EXPECT_FALSE(v.ver.feed(v.next));
+  std::vector<std::uint8_t> after(777, 0x5a);
+  EXPECT_FALSE(v.ver.feed(after));
+
+  PayloadGenerator gen(8);
+  std::vector<std::uint8_t> prefix(5);
+  gen.generate(prefix);
+  md5::Md5 want;
+  want.update(prefix);
+  want.update(v.next);
+  want.update(after);
+  EXPECT_EQ(v.ver.digest(), want.finalize());
+  EXPECT_EQ(v.ver.verified_bytes(), 5 + v.next.size() + after.size());
 }
 
 // --- directory ---------------------------------------------------------------

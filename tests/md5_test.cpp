@@ -62,6 +62,41 @@ INSTANTIATE_TEST_SUITE_P(ChunkSizes, Md5Chunking,
                          ::testing::Values(1, 3, 7, 63, 64, 65, 1000, 4096,
                                            99991));
 
+TEST(Md5, MillionAs) {
+  // RFC 1321's long vector: 15625 full blocks through the unrolled kernel.
+  const std::string msg(1'000'000, 'a');
+  EXPECT_EQ(compute(msg).hex(), "7707d6ae4e027c70eea2a935c2296f21");
+  Md5 h;
+  for (std::size_t off = 0; off < msg.size(); off += 4093) {
+    h.update(std::string_view(msg).substr(off, 4093));
+  }
+  EXPECT_EQ(h.finalize().hex(), "7707d6ae4e027c70eea2a935c2296f21");
+}
+
+TEST(Md5, UnalignedSpansMatchAlignedDigest) {
+  // Message words are loaded with memcpy from wherever the caller's bytes
+  // sit, so a span starting at any byte offset must hash identically.
+  util::Rng rng(7);
+  std::vector<std::uint8_t> aligned(10'000);
+  for (auto& b : aligned) b = static_cast<std::uint8_t>(rng());
+  const Digest want = compute(aligned);
+
+  for (std::size_t shift = 1; shift <= 7; ++shift) {
+    std::vector<std::uint8_t> storage(aligned.size() + shift);
+    std::copy(aligned.begin(), aligned.end(), storage.begin() + shift);
+    const std::span<const std::uint8_t> data(storage.data() + shift,
+                                             aligned.size());
+    EXPECT_EQ(compute(data), want) << "shift=" << shift;
+
+    // Chunked too, so blocks start at every offset within a word.
+    Md5 h;
+    for (std::size_t off = 0; off < data.size(); off += 129) {
+      h.update(data.subspan(off, std::min<std::size_t>(129, data.size() - off)));
+    }
+    EXPECT_EQ(h.finalize(), want) << "shift=" << shift;
+  }
+}
+
 TEST(Md5, ResetAllowsReuse) {
   Md5 h;
   h.update("first message");
