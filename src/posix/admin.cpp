@@ -22,24 +22,24 @@ namespace lsl::posix {
 
 namespace {
 
-Fd listen_unix(const std::string& path) {
+engine::Fd listen_unix(const std::string& path) {
   sockaddr_un sa{};
   sa.sun_family = AF_UNIX;
   if (path.size() >= sizeof(sa.sun_path)) {
     errno = ENAMETOOLONG;
-    return Fd{};
+    return engine::Fd{};
   }
   std::memcpy(sa.sun_path, path.c_str(), path.size() + 1);
-  Fd sock(::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
-  if (!sock.valid()) return Fd{};
+  engine::Fd sock(::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
+  if (!sock.valid()) return engine::Fd{};
   // A stale socket file from a previous (crashed) daemon would make bind
   // fail with EADDRINUSE even though nobody is listening; remove it first.
   ::unlink(path.c_str());
   if (::bind(sock.get(), reinterpret_cast<const sockaddr*>(&sa),
              sizeof(sa)) != 0) {
-    return Fd{};
+    return engine::Fd{};
   }
-  if (::listen(sock.get(), 8) != 0) return Fd{};
+  if (::listen(sock.get(), 8) != 0) return engine::Fd{};
   return sock;
 }
 
@@ -69,7 +69,7 @@ AdminServer::~AdminServer() {
 
 void AdminServer::on_accept() {
   for (;;) {
-    Fd sock(::accept4(listener_.get(), nullptr, nullptr,
+    engine::Fd sock(::accept4(listener_.get(), nullptr, nullptr,
                       SOCK_NONBLOCK | SOCK_CLOEXEC));
     if (!sock.valid()) return;  // EAGAIN or error: nothing (more) pending
     auto conn = std::make_unique<Conn>();

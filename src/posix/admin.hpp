@@ -22,8 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "engine/fd.hpp"
 #include "posix/epoll_loop.hpp"
-#include "posix/fd.hpp"
 
 namespace lsl::metrics {
 class Registry;
@@ -63,7 +63,7 @@ class AdminServer {
 
  private:
   struct Conn {
-    Fd sock;
+    engine::Fd sock;
     std::string in;        ///< bytes read, scanned for newlines
     std::string out;       ///< staged response bytes
     std::size_t out_off = 0;
@@ -88,7 +88,7 @@ class AdminServer {
   engine::EventEngine& loop_;
   AdminSource& source_;
   std::string path_;
-  Fd listener_;
+  engine::Fd listener_;
   const metrics::Registry* registry_ = nullptr;
   const span::Tracer* tracer_ = nullptr;
   std::vector<std::unique_ptr<Conn>> conns_;

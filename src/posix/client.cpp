@@ -107,10 +107,10 @@ void PosixSource::open_connection(std::uint64_t offset) {
 
 void PosixSource::arm_timer_in(std::chrono::milliseconds delay) {
   if (!timer_) {
-    timer_ = std::make_unique<TimerFd>(loop_, [this] { on_timer(); });
+    timer_ = std::make_unique<engine::EngineTimer>(loop_, [this] { on_timer(); });
   }
   timer_->arm(
-      TimerFd::now_ns() +
+      engine::EngineTimer::now_ns() +
       std::chrono::duration_cast<std::chrono::nanoseconds>(delay).count());
 }
 
@@ -325,7 +325,7 @@ void PosixSource::finish(bool ok) {
 // --- PosixSinkServer ---------------------------------------------------------
 
 struct PosixSinkServer::Conn {
-  Fd sock;
+  engine::Fd sock;
   std::chrono::steady_clock::time_point accepted_at;
   std::vector<std::uint8_t> header_buf;
   std::optional<core::SessionHeader> header;
@@ -419,7 +419,7 @@ PosixSinkServer::~PosixSinkServer() {
 
 void PosixSinkServer::on_accept() {
   for (;;) {
-    Fd conn = accept_connection(listener_.get());
+    engine::Fd conn = accept_connection(listener_.get());
     if (!conn.valid()) return;
     auto c = std::make_unique<Conn>(payload_seed_, verify_content_);
     c->sock = std::move(conn);

@@ -15,13 +15,13 @@
 #include <span>
 #include <vector>
 
+#include "engine/timer.hpp"
 #include "lsl/payload.hpp"
 #include "lsl/session_id.hpp"
 #include "lsl/wire.hpp"
 #include "md5/md5.hpp"
 #include "posix/epoll_loop.hpp"
 #include "posix/socket_util.hpp"
-#include "posix/timer_fd.hpp"
 
 namespace lsl::posix {
 
@@ -131,12 +131,12 @@ class PosixSource {
 
   EpollLoop& loop_;
   PosixSourceConfig config_;
-  Fd sock_;
+  engine::Fd sock_;
   /// One timerfd serves both source deadlines: bounding an in-flight dial
   /// and waking from a reconnect backoff. The purpose tags which one the
   /// next expiry means.
   enum class TimerPurpose { kNone, kDial, kBackoff };
-  std::unique_ptr<TimerFd> timer_;
+  std::unique_ptr<engine::EngineTimer> timer_;
   TimerPurpose timer_purpose_ = TimerPurpose::kNone;
   bool connecting_ = false;
   bool write_done_ = false;
@@ -245,7 +245,7 @@ class PosixSinkServer {
   bool expect_header_;
   std::uint64_t payload_seed_;
   bool verify_content_;
-  Fd listener_;
+  engine::Fd listener_;
   std::uint16_t port_ = 0;
   std::uint64_t bytes_received_ = 0;
   bool adopt_migrations_ = false;

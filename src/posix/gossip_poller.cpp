@@ -21,20 +21,20 @@ constexpr std::size_t kCommandLen = sizeof(kCommand) - 1;
 /// server's own input cap).
 constexpr std::size_t kMaxResponse = 1 << 20;
 
-Fd connect_unix(const std::string& path, bool* connecting) {
+engine::Fd connect_unix(const std::string& path, bool* connecting) {
   *connecting = false;
   sockaddr_un sa{};
   sa.sun_family = AF_UNIX;
   if (path.size() >= sizeof(sa.sun_path)) {
     errno = ENAMETOOLONG;
-    return Fd{};
+    return engine::Fd{};
   }
   std::memcpy(sa.sun_path, path.c_str(), path.size() + 1);
-  Fd sock(::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
-  if (!sock.valid()) return Fd{};
+  engine::Fd sock(::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
+  if (!sock.valid()) return engine::Fd{};
   if (::connect(sock.get(), reinterpret_cast<const sockaddr*>(&sa),
                 sizeof(sa)) != 0) {
-    if (errno != EINPROGRESS && errno != EAGAIN) return Fd{};
+    if (errno != EINPROGRESS && errno != EAGAIN) return engine::Fd{};
     *connecting = true;
   }
   return sock;

@@ -22,8 +22,8 @@
 #include <vector>
 
 #include "engine/event_engine.hpp"
+#include "engine/fd.hpp"
 #include "health/board.hpp"
-#include "posix/fd.hpp"
 
 namespace lsl::posix {
 
@@ -72,7 +72,7 @@ class GossipPoller {
  private:
   struct Peer {
     std::string path;
-    Fd sock;
+    engine::Fd sock;
     bool connecting = false;
     std::size_t sent = 0;    ///< bytes of the "gossip\n" command written
     std::string in;          ///< response bytes; complete at "\n\n"

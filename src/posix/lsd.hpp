@@ -19,25 +19,23 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "buf/chunk_ring.hpp"
 #include "buf/pool.hpp"
+#include "engine/event_engine.hpp"
+#include "engine/fd.hpp"
+#include "engine/timer.hpp"
 #include "health/board.hpp"
-#include "live/deadline_wheel.hpp"
 #include "live/live_metrics.hpp"
 #include "live/liveness.hpp"
-#include "lsl/session_id.hpp"
-#include "lsl/wire.hpp"
 #include "metrics/instruments.hpp"
 #include "posix/epoll_loop.hpp"
 #include "posix/socket_util.hpp"
-#include "posix/timer_fd.hpp"
+#include "relay/relay_core.hpp"
 #include "span/span.hpp"
-#include "util/contract.hpp"
 
 namespace lsl::posix {
 
@@ -80,45 +78,11 @@ struct LsdConfig {
   bool reuse_port = false;
 };
 
-/// Why a relay session failed (the largest contributor wins; a session
-/// counts under exactly one reason).
-enum class LsdFailReason {
-  kNone,       ///< session completed — not a failure
-  kDial,       ///< downstream connect() refused / unreachable
-  kHeader,     ///< malformed or truncated LSL header
-  kPeerReset,  ///< connection error (reset/broken pipe) mid-relay
-  kTimeout,    ///< a liveness deadline fired (header/dial/idle/stall)
-  kOther,      ///< shutdown teardown, premature downstream EOF, ...
-};
-
-/// Lifecycle of one relay session, validated by relay_transition_table().
-///
-/// kDone is terminal: a finished relay's sockets are out of the loop and
-/// its buffers are dead — any attempt to pump it again is the PR 1
-/// use-after-free class, and now aborts as a forbidden kDone edge instead
-/// of corrupting the heap.
-enum class RelayState {
-  kHeader,  ///< reading the upstream session header
-  kDial,    ///< header parsed, downstream connect in progress
-  kStream,  ///< relaying payload / reverse-path bytes
-  kDone,    ///< finished (success or failure); terminal
-};
-
-/// Human-readable relay state name (diagnostics).
-const char* to_string(RelayState s);
-
-/// Number of RelayState values (TransitionTable dimension).
-inline constexpr std::size_t kRelayStateCount = 4;
-
-/// Legal edges of the relay lifecycle; see RelayState.
-const util::TransitionTable<RelayState, kRelayStateCount>&
-relay_transition_table();
-
-/// Daemon counters.
-struct LsdStats {
-  std::uint64_t sessions_accepted = 0;
-  std::uint64_t sessions_completed = 0;
-  std::uint64_t sessions_failed = 0;
+/// Daemon counters. The lifecycle counters (accepted, completed, failed
+/// by reason, parked, resumed, refused while draining, timeouts by class)
+/// come from relay::LifecycleStats, the same block the simulated depot
+/// reports.
+struct LsdStats : relay::LifecycleStats {
   /// Connections refused at accept because the pool crossed its high
   /// watermark (admission control; distinct from injected accepts_dropped
   /// so callers can tell backpressure from chaos).
@@ -127,24 +91,7 @@ struct LsdStats {
   /// Of bytes_relayed, bytes that moved through the splice fast path
   /// without crossing user space.
   std::uint64_t bytes_spliced = 0;
-  // Failure-reason breakdown; the five reasons sum to sessions_failed.
-  std::uint64_t fail_dial = 0;
-  std::uint64_t fail_header = 0;
-  std::uint64_t fail_peer_reset = 0;
-  std::uint64_t fail_timeout = 0;
-  std::uint64_t fail_other = 0;
-  // Resume / fault-injection activity.
-  std::uint64_t sessions_parked = 0;   ///< upstream died, session kept
-  std::uint64_t sessions_resumed = 0;  ///< kFlagResume rebinds completed
   std::uint64_t accepts_dropped = 0;   ///< injected accept refusals
-  // Liveness-deadline breakdown; the four classes sum to fail_timeout.
-  std::uint64_t timeouts_header = 0;
-  std::uint64_t timeouts_dial = 0;
-  std::uint64_t timeouts_idle = 0;
-  std::uint64_t timeouts_stall = 0;
-  /// Connections refused at accept because a graceful drain is in
-  /// progress (distinct from pool-pressure sessions_refused).
-  std::uint64_t sessions_refused_drain = 0;
 };
 
 /// Element-wise sum (aggregating per-shard counters at export).
@@ -208,8 +155,8 @@ class Lsd : public AdminSource {
     h.port = port_;
     h.live_relays = live_relays();
     h.parked_relays = parked_relays();
-    h.draining = draining_;
-    h.drain_done = drain_done_;
+    h.draining = core_.draining();
+    h.drain_done = core_.drain_done();
     h.stripes = striped_relays();
     h.stats = stats_;
     if (health_ != nullptr) h.depots = health_->rows();
@@ -224,7 +171,7 @@ class Lsd : public AdminSource {
   void set_metrics(metrics::LsdMetrics* m) { metrics_ = m; }
 
   /// Attach the liveness instruments (`live.*`); null detaches.
-  void set_live_metrics(live::LiveMetrics* m) { live_metrics_ = m; }
+  void set_live_metrics(live::LiveMetrics* m) { core_.set_live_metrics(m); }
 
   /// Attach a depot health board (must outlive the daemon); null detaches.
   /// With a board attached the daemon scores the next hops it dials —
@@ -243,12 +190,12 @@ class Lsd : public AdminSource {
   /// one branch per lifecycle edge. Times are CLOCK_MONOTONIC seconds —
   /// one machine-wide timebase, so per-daemon dumps from a multi-process
   /// cascade merge directly (tools/lsl_spans).
-  void set_tracer(span::Tracer* t) { tracer_ = t; }
+  void set_tracer(span::Tracer* t) { core_.set_tracer(t); }
 
   /// Live (unfinished) relays, parked ones included — the admin-socket
   /// health snapshot.
-  std::size_t live_relays() const { return relays_.size(); }
-  std::size_t parked_relays() const { return parked_.size(); }
+  std::size_t live_relays() const { return core_.live_count(); }
+  std::size_t parked_relays() const { return core_.parked_count(); }
   /// Live relays carrying striped (wire v3) sessions — the admin `health`
   /// "stripes" field on a striped daemon.
   std::size_t striped_relays() const;
@@ -270,10 +217,12 @@ class Lsd : public AdminSource {
   /// and the stragglers are torn down — on_drain_done fires with the
   /// report. Idempotent.
   void begin_drain();
-  bool draining() const { return draining_; }
+  bool draining() const { return core_.draining(); }
   /// True once a started drain has resolved (report final).
-  bool drain_done() const { return drain_done_; }
-  const live::DrainReport& drain_report() const { return drain_report_; }
+  bool drain_done() const { return core_.drain_done(); }
+  const live::DrainReport& drain_report() const {
+    return core_.drain_report();
+  }
   /// Fires exactly once per drain, when it resolves; the daemon is still
   /// alive (the host decides whether to exit).
   std::function<void(const live::DrainReport&)> on_drain_done;
@@ -348,17 +297,12 @@ class Lsd : public AdminSource {
   /// Re-pump relays that stopped reading because the pool was dry; called
   /// after event turns that may have released chunks.
   void service_pool_waiters();
-  /// Span bookkeeping after `took` relayed bytes: opens a stream window at
-  /// the first byte, closes one per span::kStreamWindowBytes.
-  void note_stream(Relay* r, std::uint64_t took);
-  /// Close a dangling stream window (finish/park).
-  void flush_stream_window(Relay* r);
   /// Return every buffer a relay holds to the pool / allocator the moment
   /// it leaves service (graveyard entry) — freed memory must be available
   /// to live sessions immediately, not after the deferred delete.
   void release_buffers(Relay* r);
-  void finish(Relay* r, bool ok,
-              LsdFailReason reason = LsdFailReason::kOther);
+  /// Take `r` out of service: kNone = completed, else failed for `why`.
+  void finish(Relay* r, relay::FailReason why);
   /// Free relays finished on earlier event-loop turns. Never called with a
   /// graveyard relay on the call stack.
   void reap_finished();
@@ -372,31 +316,29 @@ class Lsd : public AdminSource {
   void salvage_upstream(Relay* r);
   void park_relay(Relay* r);
   /// Adopt `fresh`'s connection into the parked relay its resume header
-  /// names; refuses (and fails `fresh`) on unknown session or offset gap.
+  /// names (relay::RelayCore::resume decides; a refusal fails `fresh`).
   void try_resume(Relay* fresh);
-  /// Retire a relay without touching the completion/failure counters
-  /// (used for the husk left behind after a resume adoption).
-  void discard_relay(Relay* r);
+  /// Close a relay's sockets, return its buffers and move it to the
+  /// graveyard (the host half of finish() and of a resume husk).
+  void teardown(Relay* r);
 
   // --- Liveness plumbing ---------------------------------------------------
-  /// Monotonic nanoseconds — the wheel's timebase (TimerFd::now_ns).
+  /// Monotonic nanoseconds — the core's timebase (EngineTimer::now_ns).
   std::int64_t now_ns() const;
-  /// A per-relay liveness deadline fired: count it and fail the relay.
-  void on_deadline(Relay* r, live::DeadlineKind kind);
+  /// The core aborts `r` (deadline, park expiry, drain bound, refused
+  /// resume): hard-reset what a timed-out or abandoned peer holds, then
+  /// finish it.
+  void abort_relay(Relay* r, relay::FailReason why);
   /// Tell the relay's watchdog whether bytes are staged for downstream
   /// (stall watchdog) or not (idle deadline); call after any pump.
-  void sync_liveness(Relay* r);
-  /// Point the timerfd at the wheel's earliest deadline (created lazily;
-  /// disarmed when the wheel empties). Call after any wheel mutation.
+  void sync_liveness(Relay* r, std::int64_t now);
+  /// Point the timerfd at the core's earliest deadline (created lazily;
+  /// disarmed when none is pending). Call after any lifecycle change.
   void arm_timer();
-  /// Complete the drain if no live (non-parked) relay remains.
-  void maybe_finish_drain();
-  /// The bounded drain expired: abort the stragglers and resolve.
-  void on_drain_deadline();
 
   engine::EventEngine& loop_;
   LsdConfig config_;
-  Fd listener_;
+  engine::Fd listener_;
   std::uint16_t port_ = 0;
   LsdStats stats_;
   metrics::LsdMetrics* metrics_ = nullptr;
@@ -406,28 +348,21 @@ class Lsd : public AdminSource {
   /// later relay skips the doomed pipe setup.
   bool splice_usable_ = true;
   bool servicing_waiters_ = false;
+  /// The relay lifecycle (park registry, resume verdicts, deadlines,
+  /// drain, spans); declared before the relays so their liveness
+  /// destructors run while its wheel is alive.
+  relay::RelayCore core_;
   /// Live relays, keyed by identity for O(1) finish().
   std::unordered_map<Relay*, std::unique_ptr<Relay>> relays_;
   /// Finished relays awaiting reap_finished() (deferred deletion).
   std::vector<std::unique_ptr<Relay>> graveyard_;
-  /// Parked relays (still owned by relays_), keyed by session id.
-  std::map<core::SessionId, Relay*> parked_;
   bool crashed_ = false;
   bool stalled_ = false;
   std::uint32_t accept_drops_ = 0;
 
-  // Liveness / drain state.
-  live::DeadlineWheel wheel_;
-  std::unique_ptr<TimerFd> timer_;  ///< lazily created on first deadline
-  live::LiveMetrics* live_metrics_ = nullptr;
+  std::unique_ptr<engine::EngineTimer> timer_;  ///< created on first deadline
   health::HealthBoard* health_ = nullptr;
-  span::Tracer* tracer_ = nullptr;
-  std::int64_t drain_start_ns_ = 0;  ///< span.drain opens at begin_drain
   bool dial_blackhole_ = false;
-  bool draining_ = false;
-  bool drain_done_ = false;
-  live::DrainReport drain_report_;
-  live::DeadlineWheel::Token drain_token_ = live::DeadlineWheel::kInvalidToken;
 };
 
 }  // namespace lsl::posix

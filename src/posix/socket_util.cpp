@@ -43,9 +43,9 @@ bool set_nodelay(int fd) {
   return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0;
 }
 
-Fd listen_tcp(const InetAddress& bind_addr, int backlog,
+engine::Fd listen_tcp(const InetAddress& bind_addr, int backlog,
               std::uint16_t* bound_port, bool reuse_port) {
-  Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  engine::Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
   if (!fd.valid()) return {};
   const int one = 1;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -69,8 +69,8 @@ Fd listen_tcp(const InetAddress& bind_addr, int backlog,
   return fd;
 }
 
-Fd connect_tcp(const InetAddress& remote) {
-  Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+engine::Fd connect_tcp(const InetAddress& remote) {
+  engine::Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
   if (!fd.valid()) return {};
   if (!set_nonblocking(fd.get())) return {};
   set_nodelay(fd.get());
@@ -89,10 +89,10 @@ int connect_result(int fd) {
   return err;
 }
 
-Fd accept_connection(int listen_fd) {
+engine::Fd accept_connection(int listen_fd) {
   const int fd = ::accept(listen_fd, nullptr, nullptr);
   if (fd < 0) return {};
-  Fd out(fd);
+  engine::Fd out(fd);
   set_nonblocking(fd);
   set_nodelay(fd);
   return out;
@@ -141,7 +141,7 @@ long read_some(int fd, std::uint8_t* data, std::size_t len) {
   }
 }
 
-std::size_t make_pipe(Fd* rd, Fd* wr) {
+std::size_t make_pipe(engine::Fd* rd, engine::Fd* wr) {
   int fds[2];
   if (::pipe2(fds, O_NONBLOCK | O_CLOEXEC) != 0) return 0;
   rd->reset(fds[0]);

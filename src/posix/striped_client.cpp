@@ -146,7 +146,7 @@ void StripedPosixSource::on_lane_done(std::size_t li, bool ok) {
   retransmitted_ += lane.total;
   timers_.push_back(nullptr);
   auto& slot = timers_.back();
-  slot = std::make_unique<TimerFd>(loop_, [this, li] {
+  slot = std::make_unique<engine::EngineTimer>(loop_, [this, li] {
     Lane& l = lanes_[li];
     if (finished_ || l.settled) return;
     l.dead = false;
@@ -155,7 +155,7 @@ void StripedPosixSource::on_lane_done(std::size_t li, bool ok) {
                                  : l.route.front().to_string().c_str());
     launch_lane(li);
   });
-  slot->arm(TimerFd::now_ns() +
+  slot->arm(engine::EngineTimer::now_ns() +
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 config_.restripe_delay)
                 .count());

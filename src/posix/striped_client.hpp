@@ -100,7 +100,7 @@ class StripedPosixSource {
   std::vector<Lane> lanes_;
   /// One timerfd per pending re-stripe: lane relaunch happens on the event
   /// loop after restripe_delay, never inline in the failure callback.
-  std::vector<std::unique_ptr<TimerFd>> timers_;
+  std::vector<std::unique_ptr<engine::EngineTimer>> timers_;
   std::uint32_t stripes_lost_ = 0;
   std::uint32_t stripes_recovered_ = 0;
   std::uint32_t restripes_left_ = 0;

@@ -7,7 +7,7 @@
 // treats "no abort" as "no illegal transition happened".
 #include <gtest/gtest.h>
 
-#include "posix/lsd.hpp"
+#include "relay/relay_core.hpp"
 #include "tcp/tcp.hpp"
 #include "util/contract.hpp"
 
@@ -95,8 +95,8 @@ TEST(TcpTransitionTable, ImpossibleEdgesRejected) {
 // --- the lsd relay machine ---------------------------------------------------
 
 TEST(RelayTransitionTable, LifecycleIsLinearWithEarlyFailure) {
-  const auto& t = posix::relay_transition_table();
-  using S = posix::RelayState;
+  const auto& t = relay::relay_transition_table();
+  using S = relay::RelayState;
   EXPECT_TRUE(t.allowed(S::kHeader, S::kDial));
   EXPECT_TRUE(t.allowed(S::kDial, S::kStream));
   EXPECT_TRUE(t.allowed(S::kStream, S::kDone));
@@ -110,8 +110,8 @@ TEST(RelayTransitionTable, LifecycleIsLinearWithEarlyFailure) {
 }
 
 TEST(RelayTransitionTable, DoneIsTerminal) {
-  const auto& t = posix::relay_transition_table();
-  using S = posix::RelayState;
+  const auto& t = relay::relay_transition_table();
+  using S = relay::RelayState;
   for (S to : {S::kHeader, S::kDial, S::kStream, S::kDone}) {
     EXPECT_FALSE(t.allowed(S::kDone, to)) << to_string(to);
   }
@@ -133,8 +133,8 @@ TEST(ContractDeathTest, TouchingAFinishedRelayAborts) {
   // The PR 1 use-after-free scenario: a relay that already reached kDone
   // being driven again. With the checked lifecycle this is an immediate,
   // attributable abort instead of heap corruption.
-  using S = posix::RelayState;
-  CheckedState<S, posix::kRelayStateCount> s{posix::relay_transition_table(),
+  using S = relay::RelayState;
+  CheckedState<S, relay::kRelayStateCount> s{relay::relay_transition_table(),
                                              S::kHeader};
   s.transition(S::kDone);
   EXPECT_DEATH(s.transition(S::kStream),

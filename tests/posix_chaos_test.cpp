@@ -310,7 +310,7 @@ TEST(PosixChaos, HeaderDeadlineReapsSilentClient) {
   dcfg.liveness.header_timeout = 150 * util::kMillisecond;
   Lsd lsd(loop, dcfg);
 
-  posix::Fd client = posix::connect_tcp(InetAddress::loopback(lsd.port()));
+  engine::Fd client = posix::connect_tcp(InetAddress::loopback(lsd.port()));
   ASSERT_TRUE(client.valid());
   // Never send a byte; the daemon's own timerfd must fire the deadline
   // with no help from the host loop beyond ordinary epoll waits.
@@ -374,7 +374,7 @@ TEST(PosixChaos, IdleDeadlineReapsSilentStream) {
   std::vector<std::uint8_t> wire;
   core::encode_header(h, wire);
 
-  posix::Fd client = posix::connect_tcp(InetAddress::loopback(lsd.port()));
+  engine::Fd client = posix::connect_tcp(InetAddress::loopback(lsd.port()));
   ASSERT_TRUE(client.valid());
   ASSERT_TRUE(wait_until(
       loop, [&lsd] { return lsd.stats().sessions_accepted > 0; }, 5.0));
@@ -589,7 +589,7 @@ TEST(PosixChaos, FaultDriverNextTimeoutComposesDaemonWheel) {
 
   // A silent client arms the daemon's 5s header deadline on the wheel;
   // the composed wait must now track the sooner daemon-side deadline.
-  posix::Fd client = posix::connect_tcp(InetAddress::loopback(lsd.port()));
+  engine::Fd client = posix::connect_tcp(InetAddress::loopback(lsd.port()));
   ASSERT_TRUE(client.valid());
   ASSERT_TRUE(wait_until(
       loop, [&lsd] { return lsd.stats().sessions_accepted > 0; }, 5.0,
@@ -634,7 +634,7 @@ DaemonRun sigterm_daemon(std::uint16_t port,
   // Wait for the daemon to accept, proving the listener is up. connect_tcp
   // is non-blocking (EINPROGRESS), so a valid fd alone proves nothing —
   // poll for writability and check the handshake actually completed.
-  posix::Fd probe;
+  engine::Fd probe;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
@@ -645,12 +645,12 @@ DaemonRun sigterm_daemon(std::uint16_t port,
           posix::connect_result(probe.get()) == 0) {
         break;
       }
-      probe = posix::Fd();
+      probe = engine::Fd();
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   EXPECT_TRUE(probe.valid());
-  if (!hold_silent_session) probe = posix::Fd();  // hang up the probe
+  if (!hold_silent_session) probe = engine::Fd();  // hang up the probe
   // Give the daemon a beat to install its signal handlers and reap the
   // probe hangup, then deliver the signal mid-epoll_wait.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));

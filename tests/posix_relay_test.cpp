@@ -63,8 +63,8 @@ void expect_fail_breakdown_consistent(const posix::LsdStats& s) {
 }
 
 /// Connect a raw TCP socket to `port` and wait for the handshake.
-posix::Fd raw_connect(EpollLoop& loop, std::uint16_t port) {
-  posix::Fd conn = posix::connect_tcp(InetAddress::loopback(port));
+engine::Fd raw_connect(EpollLoop& loop, std::uint16_t port) {
+  engine::Fd conn = posix::connect_tcp(InetAddress::loopback(port));
   if (!conn.valid()) return conn;
   bool writable = false;
   loop.add(conn.get(), EPOLLOUT, [&](std::uint32_t) { writable = true; });
@@ -269,7 +269,7 @@ TEST(PosixRelay, MalformedHeaderClassifiedAsHeaderFailure) {
   EpollLoop loop;
   Lsd depot(loop, LsdConfig{});
 
-  posix::Fd conn = raw_connect(loop, depot.port());
+  engine::Fd conn = raw_connect(loop, depot.port());
   ASSERT_TRUE(conn.valid());
   const std::uint8_t junk[16] = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
                                  0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
@@ -296,7 +296,7 @@ TEST(PosixRelay, TruncatedHeaderClassifiedAsHeaderFailure) {
 
   // A valid header prefix is 8 bytes; send 4 and close cleanly — the depot
   // sees EOF mid-header (a truncated session).
-  posix::Fd conn = raw_connect(loop, depot.port());
+  engine::Fd conn = raw_connect(loop, depot.port());
   ASSERT_TRUE(conn.valid());
   const std::uint8_t partial[4] = {0x4C, 0x53, 0x4C, 0x31};
   ASSERT_EQ(::send(conn.get(), partial, sizeof(partial), 0), 4);
@@ -323,7 +323,7 @@ TEST(PosixRelay, UpstreamResetClassifiedAsPeerReset) {
 
   // Abort the connection (SO_LINGER 0 close sends RST instead of FIN): the
   // depot's read fails with ECONNRESET mid-header.
-  posix::Fd conn = raw_connect(loop, depot.port());
+  engine::Fd conn = raw_connect(loop, depot.port());
   ASSERT_TRUE(conn.valid());
   const linger lg{1, 0};
   ASSERT_EQ(::setsockopt(conn.get(), SOL_SOCKET, SO_LINGER, &lg, sizeof(lg)),

@@ -108,7 +108,7 @@ class BlackholeServer {
     if (!listener_.valid()) return;
     loop_.add(listener_.get(), EPOLLIN, [this](std::uint32_t) {
       while (true) {
-        posix::Fd conn = posix::accept_connection(listener_.get());
+        engine::Fd conn = posix::accept_connection(listener_.get());
         if (!conn.valid()) break;
         conns_.push_back(std::move(conn));
       }
@@ -121,9 +121,9 @@ class BlackholeServer {
 
  private:
   EpollLoop& loop_;
-  posix::Fd listener_;
+  engine::Fd listener_;
   std::uint16_t port_ = 0;
-  std::vector<posix::Fd> conns_;
+  std::vector<engine::Fd> conns_;
 };
 
 /// Relay `bytes` through one depot and return (verified, depot stats).

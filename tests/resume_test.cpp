@@ -186,6 +186,64 @@ TEST(Resume, GraceShorterThanReconnectAbortsDownstream) {
   EXPECT_EQ(w->depot_app->stats().sessions_resumed, 0u);
 }
 
+TEST(Resume, GapOffsetRefusesTheReconnectButKeepsTheSessionParked) {
+  constexpr std::uint64_t kBytes = 2 * util::kMiB;
+  auto w = make_world(/*real=*/true, kBytes, /*grace=*/30 * util::kSecond,
+                      13);
+  // Rebuild the source with a reconnect slow enough for a rogue resume to
+  // reach the parked session first.
+  core::SourceConfig scfg;
+  scfg.payload_bytes = kBytes;
+  scfg.payload_seed = 60;
+  scfg.use_header = true;
+  scfg.resumable = true;
+  // A few reconnects, 200 ms apart, then give up: a refused session must
+  // end the run, not retry forever.
+  int reconnects_left = 3;
+  scfg.reconnect_backoff = [&]() -> std::optional<util::SimDuration> {
+    if (reconnects_left-- == 0) return std::nullopt;
+    return util::millis(200);
+  };
+  util::Rng rng(9);
+  scfg.header.session = core::SessionId::generate(rng);
+  scfg.header.payload_length = kBytes;
+  scfg.header.hops = {{w->depot->id(), kDepot}};
+  scfg.header.destination = {w->dst->id(), kSink};
+  w->source = std::make_unique<core::SourceApp>(
+      *w->src_stack, sim::Endpoint{w->depot->id(), kDepot}, scfg, nullptr);
+
+  // The rogue claims the whole payload was delivered: an offset beyond
+  // anything the depot pulled.
+  core::SourceConfig rcfg;
+  rcfg.payload_bytes = 4 * util::kKiB;
+  rcfg.use_header = true;
+  rcfg.header = scfg.header;
+  rcfg.header.flags |= core::kFlagResume;
+  rcfg.header.resume_offset = kBytes;
+  std::unique_ptr<core::SourceApp> rogue;
+
+  w->source->start();
+  auto& ev = w->net->sim().events();
+  ev.schedule_in(util::millis(400), [&] { w->source->simulate_disconnect(); });
+  ev.schedule_in(util::millis(450), [&] {
+    rogue = std::make_unique<core::SourceApp>(
+        *w->src_stack, sim::Endpoint{w->depot->id(), kDepot}, rcfg, nullptr);
+    rogue->start();
+  });
+  run_until_complete(*w, 120 * util::kSecond);
+
+  // Only the rogue connection was refused; the honest reconnect found the
+  // session still parked and finished it byte-exact.
+  ASSERT_TRUE(w->sink_complete);
+  EXPECT_TRUE(w->verified);
+  EXPECT_EQ(w->received, kBytes);
+  EXPECT_EQ(w->source->resumes(), 1u);
+  EXPECT_EQ(w->depot_app->stats().sessions_resumed, 1u);
+  EXPECT_EQ(w->depot_app->stats().sessions_completed, 1u);
+  EXPECT_EQ(w->depot_app->stats().sessions_failed, 1u);
+  EXPECT_EQ(w->depot_app->stats().fail_header, 1u);
+}
+
 TEST(Resume, UnknownSessionResumeRefused) {
   auto w = make_world(false, util::kMiB, 30 * util::kSecond, 11);
   // Craft a source that claims to resume a session the depot never saw.

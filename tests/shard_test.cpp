@@ -377,7 +377,7 @@ TEST(ShardTest, SigtermDrainsShardedDaemonProcessCleanly) {
 
   // Prove a listener is up before signalling (connect_tcp is nonblocking,
   // so poll for the handshake result).
-  posix::Fd probe;
+  engine::Fd probe;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
@@ -388,12 +388,12 @@ TEST(ShardTest, SigtermDrainsShardedDaemonProcessCleanly) {
           posix::connect_result(probe.get()) == 0) {
         break;
       }
-      probe = posix::Fd();
+      probe = engine::Fd();
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   ASSERT_TRUE(probe.valid());
-  probe = posix::Fd();  // hang up; nothing in flight, drain is instant
+  probe = engine::Fd();  // hang up; nothing in flight, drain is instant
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   ASSERT_EQ(::kill(pid, SIGTERM), 0);
 

@@ -316,7 +316,7 @@ bool daemon_ready(std::uint16_t port) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
-    posix::Fd probe = posix::connect_tcp(InetAddress::loopback(port));
+    engine::Fd probe = posix::connect_tcp(InetAddress::loopback(port));
     if (probe.valid()) {
       pollfd pf{probe.get(), POLLOUT, 0};
       if (::poll(&pf, 1, 200) == 1 &&

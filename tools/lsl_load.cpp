@@ -25,7 +25,7 @@
 // so every session's lifecycle lands in the daemon's flight recorder;
 // --spans-out dumps the recorder as JSONL on exit (implies --trace) for
 // tools/lsl_spans. The summary always reports session-latency percentiles
-// (p50/p90/p99) from a fixed-bucket histogram of per-session wall times.
+// (p50/p90/p99) interpolated from the per-session wall times.
 // Sessions refused by pool-pressure admission control are retried with
 // backoff (the client half of the hop-by-hop backpressure contract), so a
 // run under memory pressure completes late rather than failing.
@@ -76,6 +76,7 @@
 #include "span/span.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/units.hpp"
 
 using namespace lsl;
@@ -181,6 +182,9 @@ struct DriverResult {
   std::size_t mismatched = 0;
   std::uint64_t payload = 0;
   bool gave_up = false;
+  /// Completion time of each verified session, ms (merged across drivers
+  /// for the percentiles; the histogram's doubling buckets are too coarse).
+  std::vector<double> session_ms;
 };
 
 /// One driver thread's whole world: a private event loop, a private
@@ -202,6 +206,7 @@ DriverResult drive_slots(std::uint16_t daemon_port, const Options& opt,
       ++res.verified;
       res.payload += r.payload_bytes;
       session_ms->observe(r.seconds * 1000.0);  // atomic: safe cross-thread
+      res.session_ms.push_back(r.seconds * 1000.0);
     } else {
       ++res.mismatched;
     }
@@ -323,12 +328,18 @@ int run_sharded(const Options& opt) {
   std::size_t mismatched = 0;
   std::uint64_t payload_total = 0;
   bool gave_up = false;
+  std::vector<double> session_ms_samples;
   for (const DriverResult& r : results) {
     verified += r.verified;
     mismatched += r.mismatched;
     payload_total += r.payload;
     gave_up = gave_up || r.gave_up;
+    session_ms_samples.insert(session_ms_samples.end(), r.session_ms.begin(),
+                              r.session_ms.end());
   }
+  const double p50 = util::quantile(session_ms_samples, 0.50);
+  const double p90 = util::quantile(session_ms_samples, 0.90);
+  const double p99 = util::quantile(session_ms_samples, 0.99);
 
   const buf::PoolStats pool = daemon.pool_stats();
   const std::uint64_t budget_peak = daemon.budget().peak();
@@ -364,8 +375,7 @@ int run_sharded(const Options& opt) {
       static_cast<unsigned long long>(st.sessions_refused),
       static_cast<unsigned long long>(rss / 1024));
   std::printf("  session latency: p50 %.1f ms, p90 %.1f ms, p99 %.1f ms\n",
-              session_ms.percentile(0.50), session_ms.percentile(0.90),
-              session_ms.percentile(0.99));
+              p50, p90, p99);
 
   const bool over_budget = opt.budget > 0 && budget_peak > opt.budget;
   const bool ok = !gave_up && mismatched == 0 &&
@@ -403,8 +413,7 @@ int run_sharded(const Options& opt) {
         static_cast<unsigned long long>(pool.failures),
         static_cast<unsigned long long>(pool.pressure_episodes),
         static_cast<unsigned long long>(st.sessions_refused),
-        static_cast<unsigned long long>(rss), session_ms.percentile(0.50),
-        session_ms.percentile(0.90), session_ms.percentile(0.99),
+        static_cast<unsigned long long>(rss), p50, p90, p99,
         ok ? "true" : "false");
     std::fclose(f);
   }
@@ -893,18 +902,11 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(st.bytes_spliced),
       static_cast<unsigned long long>(st.sessions_refused),
       static_cast<unsigned long long>(rss / 1024));
-  std::sort(session_ms_samples.begin(), session_ms_samples.end());
-  const auto latency_pct = [&](double q) -> double {
-    if (session_ms_samples.empty()) return 0.0;
-    const double rank = q * static_cast<double>(session_ms_samples.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, session_ms_samples.size() - 1);
-    return session_ms_samples[lo] +
-           (rank - static_cast<double>(lo)) *
-               (session_ms_samples[hi] - session_ms_samples[lo]);
-  };
+  const double p50 = util::quantile(session_ms_samples, 0.50);
+  const double p90 = util::quantile(session_ms_samples, 0.90);
+  const double p99 = util::quantile(session_ms_samples, 0.99);
   std::printf("  session latency: p50 %.1f ms, p90 %.1f ms, p99 %.1f ms\n",
-              latency_pct(0.50), latency_pct(0.90), latency_pct(0.99));
+              p50, p90, p99);
   std::string churn_json;
   if (opt.depots > 1) {
     churn_json += " \"depots\": " + std::to_string(opt.depots) + ",";
@@ -965,8 +967,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(pool.failures),
         static_cast<unsigned long long>(pool.pressure_episodes),
         static_cast<unsigned long long>(st.sessions_refused),
-        static_cast<unsigned long long>(rss), latency_pct(0.50),
-        latency_pct(0.90), latency_pct(0.99),
+        static_cast<unsigned long long>(rss), p50, p90, p99,
         ok ? "true" : "false");
     std::fclose(f);
   }

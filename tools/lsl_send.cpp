@@ -294,7 +294,7 @@ int main(int argc, char** argv) {
   const auto attempt = [&]() -> int {
     // Connect (blocking via a tiny epoll wait for writability).
     const posix::InetAddress first = hops.empty() ? dest : hops[0];
-    posix::Fd sock = posix::connect_tcp(first);
+    engine::Fd sock = posix::connect_tcp(first);
     if (!sock.valid()) {
       std::perror("lsl_send: connect");
       return 1;
