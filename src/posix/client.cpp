@@ -251,58 +251,73 @@ bool PosixSource::migrate(std::vector<InetAddress> new_route,
   return true;
 }
 
+void PosixSource::stage() {
+  // Top up the buffer behind whatever is already staged (the header, on a
+  // fresh connection) so header, payload and trailer leave back to back.
+  // staged_ is resized only when too small, so a refill does not zero-fill
+  // bytes the payload overwrites.
+  if (payload_left_ > 0 && staged_len_ < kStageBytes) {
+    const std::size_t chunk = static_cast<std::size_t>(
+        std::min<std::uint64_t>(payload_left_, kStageBytes - staged_len_));
+    if (staged_.size() < staged_len_ + chunk) {
+      staged_.resize(staged_len_ + chunk);
+    }
+    const std::span<std::uint8_t> out(staged_.data() + staged_len_, chunk);
+    if (config_.payload_fill) {
+      config_.payload_fill(config_.payload_bytes - payload_left_, out);
+    } else {
+      generator_.generate(out);
+    }
+    if (!config_.trailer_digest) hasher_.update(out);
+    if (config_.corrupt_one_byte && !corrupted_yet_) {
+      out[chunk / 2] ^= 0xff;  // after hashing: wire differs from hash
+      corrupted_yet_ = true;
+    }
+    staged_len_ += chunk;
+    payload_left_ -= chunk;
+  }
+  if (payload_left_ == 0 && config_.send_digest && !trailer_sent_ &&
+      staged_len_ + core::kDigestTrailerBytes <= kStageBytes) {
+    const md5::Digest d = config_.trailer_digest ? *config_.trailer_digest
+                                                 : hasher_.finalize();
+    if (staged_.size() < staged_len_ + d.bytes.size()) {
+      staged_.resize(staged_len_ + d.bytes.size());
+    }
+    std::copy(d.bytes.begin(), d.bytes.end(), staged_.begin() + staged_len_);
+    staged_len_ += d.bytes.size();
+    trailer_sent_ = true;
+  }
+}
+
 void PosixSource::pump() {
   if (finished_ || write_done_) return;
   for (;;) {
-    // Flush the staged buffer.
-    while (staged_off_ < staged_len_) {
-      const long n = write_some(sock_.get(), staged_.data() + staged_off_,
-                                staged_len_ - staged_off_);
-      if (n < 0) {
-        handle_connection_error();
-        return;
-      }
-      if (n == 0) {
-        note_acked();
-        return;  // kernel buffer full; EPOLLOUT re-arms us
-      }
-      staged_off_ += static_cast<std::size_t>(n);
-      wire_written_ += static_cast<std::uint64_t>(n);
-      note_acked();
+    if (staged_off_ == staged_len_) {
+      staged_len_ = 0;
+      staged_off_ = 0;
     }
-    staged_len_ = 0;
-    staged_off_ = 0;
-
-    // Refill with payload or trailer. staged_ is resized only when too
-    // small, so a refill does not zero-fill bytes the payload overwrites.
-    if (payload_left_ > 0) {
-      const std::size_t chunk = static_cast<std::size_t>(
-          std::min<std::uint64_t>(payload_left_, 64 * 1024));
-      if (staged_.size() < chunk) staged_.resize(chunk);
-      staged_len_ = chunk;
-      const std::span<std::uint8_t> out(staged_.data(), chunk);
-      if (config_.payload_fill) {
-        config_.payload_fill(config_.payload_bytes - payload_left_, out);
-      } else {
-        generator_.generate(out);
-      }
-      if (!config_.trailer_digest) hasher_.update(out);
-      if (config_.corrupt_one_byte && !corrupted_yet_) {
-        staged_[chunk / 2] ^= 0xff;  // after hashing: wire differs from hash
-        corrupted_yet_ = true;
-      }
-      payload_left_ -= chunk;
-      continue;
+    if (staged_off_ == 0) stage();
+    if (staged_len_ == 0) break;  // header, payload and trailer all sent
+    // The write that finishes the stream carries MSG_MORE: the kernel holds
+    // its tail segment and the shutdown below puts the FIN on it.
+    const bool last = payload_left_ == 0 &&
+                      (!config_.send_digest || trailer_sent_);
+    const long n = write_some(sock_.get(), staged_.data() + staged_off_,
+                              staged_len_ - staged_off_,
+                              last ? MSG_MORE : 0);
+    if (n < 0) {
+      handle_connection_error();
+      return;
     }
-    if (config_.send_digest && !trailer_sent_) {
-      const md5::Digest d = config_.trailer_digest ? *config_.trailer_digest
-                                                   : hasher_.finalize();
-      staged_.assign(d.bytes.begin(), d.bytes.end());
-      staged_len_ = staged_.size();
-      trailer_sent_ = true;
-      continue;
+    // The acked floor is read only by a resume; skip the SIOCOUTQ ioctl
+    // on sessions that never resume (migrate() replaces the floor anyway).
+    if (n == 0) {
+      if (config_.resumable) note_acked();
+      return;  // kernel buffer full; EPOLLOUT re-arms us
     }
-    break;
+    staged_off_ += static_cast<std::size_t>(n);
+    wire_written_ += static_cast<std::uint64_t>(n);
+    if (config_.resumable) note_acked();
   }
   // Everything written: half-close and await the sink's close.
   ::shutdown(sock_.get(), SHUT_WR);
@@ -403,7 +418,7 @@ PosixSinkServer::PosixSinkServer(EpollLoop& loop, const InetAddress& bind,
       expect_header_(expect_header),
       payload_seed_(payload_seed),
       verify_content_(verify_content) {
-  listener_ = listen_tcp(bind, 64, &port_);
+  listener_ = listen_tcp(bind, SOMAXCONN, &port_);
   if (!listener_.valid()) {
     throw std::system_error(errno, std::generic_category(), "sink: bind");
   }
@@ -743,7 +758,9 @@ void PosixSinkServer::close_conn(Conn* c, std::optional<std::uint8_t> status) {
     at.erase(std::remove(at.begin(), at.end(), c), at.end());
   }
   if (c->sock.valid()) {
-    if (status) write_some(c->sock.get(), &*status, 1);
+    // MSG_MORE holds the status byte until close() queues the FIN behind
+    // it, so the verdict and the FIN leave in one segment.
+    if (status) write_some(c->sock.get(), &*status, 1, MSG_MORE);
     if (!c->parked) loop_.remove(c->sock.get());
     c->sock.reset();
   }
@@ -780,16 +797,8 @@ void PosixSinkServer::finish(Conn* c) {
   res.verified = ok;
 
   // End-to-end status byte, then close: the source's completion signal.
-  const std::uint8_t status = ok ? core::kStatusOk : core::kStatusFail;
-  write_some(c->sock.get(), &status, 1);
-  loop_.remove(c->sock.get());
-  c->sock.reset();
-
+  close_conn(c, ok ? core::kStatusOk : core::kStatusFail);
   if (on_complete) on_complete(res);
-
-  conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
-                              [c](const auto& p) { return p.get() == c; }),
-               conns_.end());
 }
 
 }  // namespace lsl::posix

@@ -116,6 +116,8 @@ class PosixSource {
  private:
   void on_io(std::uint32_t events);
   void pump();
+  /// Append payload, then the trailer, to staged_ up to kStageBytes.
+  void stage();
   void finish(bool ok);
   /// Connect (or reconnect) and stage the session header; `offset` is the
   /// first payload byte this connection carries (>0 sets kFlagResume).
@@ -142,7 +144,10 @@ class PosixSource {
   bool write_done_ = false;
   bool finished_ = false;
 
-  std::vector<std::uint8_t> staged_;  ///< header, then refilled chunks
+  /// One send's worth of wire bytes: header, payload and trailer are
+  /// staged back to back, so a small session leaves in one segment.
+  static constexpr std::size_t kStageBytes = 64 * 1024;
+  std::vector<std::uint8_t> staged_;
   std::size_t staged_len_ = 0;        ///< bytes of staged_ to send
   std::size_t staged_off_ = 0;
   std::uint64_t payload_left_ = 0;

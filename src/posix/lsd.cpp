@@ -78,6 +78,14 @@ struct Lsd::Relay : relay::RelaySession {
   bool spill_empty() const { return spill_off >= spill.size(); }
   /// Total payload bytes buffered anywhere in user space or the pipe.
   std::size_t buffered() const { return ring.size() + pipe_bytes; }
+  /// MSG_MORE when writing `bytes` downstream empties the relay after
+  /// upstream EOF: pump_downstream shuts the socket down right after, and
+  /// the held tail segment carries the FIN instead of a segment of its own.
+  int eof_flags(std::size_t bytes) const {
+    const std::size_t pending = (fwd.size() - fwd_off) + buffered() +
+                                (spill_empty() ? 0 : spill.size() - spill_off);
+    return up_eof && bytes == pending ? MSG_MORE : 0;
+  }
 };
 
 namespace {
@@ -144,7 +152,7 @@ Lsd::Lsd(engine::EventEngine& loop, const LsdConfig& config)
     owned_pool_ = std::make_unique<buf::ChunkPool>(config_.pool);
     pool_ = owned_pool_.get();
   }
-  listener_ = listen_tcp(config_.bind, 64, &port_, config_.reuse_port);
+  listener_ = listen_tcp(config_.bind, SOMAXCONN, &port_, config_.reuse_port);
   if (!listener_.valid()) {
     throw std::system_error(errno, std::generic_category(), "lsd: bind");
   }
@@ -239,11 +247,11 @@ void Lsd::on_upstream(Relay* r, std::uint32_t events) {
   pump_upstream(r);
 }
 
-bool Lsd::flush_reverse(Relay* r) {
+bool Lsd::flush_reverse(Relay* r, int flags) {
   LSL_PRECONDITION(!r->done(), "reverse flush on a finished relay");
   while (r->up.valid() && r->rev_off < r->rev.size()) {
     const long n = write_some(r->up.get(), r->rev.data() + r->rev_off,
-                              r->rev.size() - r->rev_off);
+                              r->rev.size() - r->rev_off, flags);
     if (n < 0) {
       if (metrics_) metrics_->write_errors->inc();
       handle_upstream_failure(r);
@@ -284,7 +292,11 @@ void Lsd::on_downstream(Relay* r, std::uint32_t events) {
     for (;;) {
       const long n = read_some(r->down.get(), buf, sizeof(buf));
       if (n == 0) {
-        if (!flush_reverse(r)) return;
+        // finish() closes the upstream socket right after this flush; on a
+        // clean completion MSG_MORE lets that close's FIN share the status
+        // byte's segment. (A premature close may leave upstream bytes
+        // unread, so close() resets and would drop a held byte.)
+        if (!flush_reverse(r, r->flushed ? MSG_MORE : 0)) return;
         // EOF before our own EOF was flushed = premature downstream close.
         finish(r, r->flushed ? relay::FailReason::kNone
                              : relay::FailReason::kOther);
@@ -501,7 +513,8 @@ bool Lsd::pump_downstream(Relay* r) {
       iov[1].iov_len = win.size();
       iovcnt = 2;
     }
-    const long n = writev_some(r->down.get(), iov, iovcnt);
+    const long n = writev_some(r->down.get(), iov, iovcnt,
+                               r->eof_flags(iov[0].iov_len + win.size()));
     if (n < 0) {
       if (metrics_) metrics_->write_errors->inc();
       finish(r, relay::FailReason::kPeerReset);
@@ -526,7 +539,8 @@ bool Lsd::pump_downstream(Relay* r) {
   // Then ring contents (pre-park bytes are older than any spill).
   while (!r->ring.empty()) {
     const std::span<const std::uint8_t> win = r->ring.read_window();
-    const long n = write_some(r->down.get(), win.data(), win.size());
+    const long n = write_some(r->down.get(), win.data(), win.size(),
+                              r->eof_flags(win.size()));
     if (n < 0) {
       if (metrics_) metrics_->write_errors->inc();
       finish(r, relay::FailReason::kPeerReset);
@@ -573,7 +587,8 @@ bool Lsd::pump_downstream(Relay* r) {
   // Then bytes salvaged from a dead upstream.
   while (r->buffered() == 0 && !r->spill_empty()) {
     const long n = write_some(r->down.get(), r->spill.data() + r->spill_off,
-                              r->spill.size() - r->spill_off);
+                              r->spill.size() - r->spill_off,
+                              r->eof_flags(r->spill.size() - r->spill_off));
     if (n < 0) {
       if (metrics_) metrics_->write_errors->inc();
       finish(r, relay::FailReason::kPeerReset);
@@ -869,8 +884,8 @@ void Lsd::crash() {
 
 void Lsd::restart() {
   if (!crashed_) return;
-  listener_ = listen_tcp(InetAddress{config_.bind.addr, port_}, 64, &port_,
-                         config_.reuse_port);
+  listener_ = listen_tcp(InetAddress{config_.bind.addr, port_}, SOMAXCONN,
+                         &port_, config_.reuse_port);
   if (!listener_.valid()) {
     LSL_LOG_WARN("lsd: restart failed to re-bind port %u: %s",
                  static_cast<unsigned>(port_), std::strerror(errno));

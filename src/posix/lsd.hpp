@@ -282,7 +282,8 @@ class Lsd : public AdminSource {
   // reading freed memory.
   bool pump_upstream(Relay* r);
   bool pump_downstream(Relay* r);
-  bool flush_reverse(Relay* r);
+  /// `flags` go to the send (MSG_MORE when a close follows at once).
+  bool flush_reverse(Relay* r, int flags = 0);
   void update_interest(Relay* r);
   /// Whether the splice fast path may ingest right now: nothing buffered in
   /// user space (ring, spill, discard), header forwarded, downstream up.

@@ -32,12 +32,6 @@ std::optional<std::uint32_t> parse_ipv4(const std::string& dotted) {
   return ntohl(a.s_addr);
 }
 
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return false;
-  return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
 bool set_nodelay(int fd) {
   const int one = 1;
   return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0;
@@ -45,18 +39,21 @@ bool set_nodelay(int fd) {
 
 engine::Fd listen_tcp(const InetAddress& bind_addr, int backlog,
               std::uint16_t* bound_port, bool reuse_port) {
-  engine::Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  engine::Fd fd(
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
   if (!fd.valid()) return {};
   const int one = 1;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   if (reuse_port) {
     ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
   }
+  // Inherited by every accepted socket (tcp_create_openreq_child copies
+  // the listener's nonagle), which saves a setsockopt per connection.
+  set_nodelay(fd.get());
   sockaddr_in sa = bind_addr.to_sockaddr();
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
     return {};
   }
-  if (!set_nonblocking(fd.get())) return {};
   if (::listen(fd.get(), backlog) != 0) return {};
   if (bound_port != nullptr) {
     sockaddr_in actual{};
@@ -70,9 +67,9 @@ engine::Fd listen_tcp(const InetAddress& bind_addr, int backlog,
 }
 
 engine::Fd connect_tcp(const InetAddress& remote) {
-  engine::Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  engine::Fd fd(
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
   if (!fd.valid()) return {};
-  if (!set_nonblocking(fd.get())) return {};
   set_nodelay(fd.get());
   sockaddr_in sa = remote.to_sockaddr();
   if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 &&
@@ -90,20 +87,18 @@ int connect_result(int fd) {
 }
 
 engine::Fd accept_connection(int listen_fd) {
-  const int fd = ::accept(listen_fd, nullptr, nullptr);
-  if (fd < 0) return {};
-  engine::Fd out(fd);
-  set_nonblocking(fd);
-  set_nodelay(fd);
-  return out;
+  return engine::Fd(
+      ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC));
 }
 
-long write_some(int fd, const std::uint8_t* data, std::size_t len) {
+long write_some(int fd, const std::uint8_t* data, std::size_t len,
+                int flags) {
   std::size_t total = 0;
   while (total < len) {
     // MSG_NOSIGNAL: a peer reset between poll and write must surface as
     // EPIPE, not a process-killing SIGPIPE (fault injection relies on it).
-    const ssize_t n = ::send(fd, data + total, len - total, MSG_NOSIGNAL);
+    const ssize_t n =
+        ::send(fd, data + total, len - total, MSG_NOSIGNAL | flags);
     if (n > 0) {
       total += static_cast<std::size_t>(n);
       continue;
@@ -115,14 +110,14 @@ long write_some(int fd, const std::uint8_t* data, std::size_t len) {
   return static_cast<long>(total);
 }
 
-long writev_some(int fd, const struct iovec* iov, int iovcnt) {
+long writev_some(int fd, const struct iovec* iov, int iovcnt, int flags) {
   for (;;) {
     msghdr msg{};
     // sendmsg's iovec is mutation-free here (one shot, no retry walk);
     // const_cast bridges the POSIX struct's non-const field.
     msg.msg_iov = const_cast<struct iovec*>(iov);
     msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(iovcnt);
-    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL | flags);
     if (n >= 0) return static_cast<long>(n);
     if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
     if (errno == EINTR) continue;
