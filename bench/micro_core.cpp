@@ -5,6 +5,7 @@
 // explainable.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <vector>
 
 #include "lsl/payload.hpp"
@@ -62,6 +63,45 @@ void BM_EventQueueCancel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }
 BENCHMARK(BM_EventQueueCancel)->Arg(1 << 12)->Arg(1 << 16);
+
+// The TCP RTO pattern: every event (an ACK on one of 64 flows) cancels its
+// flow's far-future retransmission timer and re-arms it, so cancelled
+// timers pile up unless the queue reclaims them.
+class TimerRearm {
+ public:
+  explicit TimerRearm(std::int64_t acks) : acks_left_(acks) {
+    for (std::size_t f = 0; f < timers_.size(); ++f) {
+      q_.schedule_in(static_cast<lsl::util::SimDuration>(f),
+                     [this, f] { ack(f); });
+    }
+  }
+
+  std::uint64_t run() {
+    q_.run();
+    return q_.executed_count();
+  }
+
+ private:
+  void ack(std::size_t flow) {
+    q_.cancel(timers_[flow]);
+    timers_[flow] = q_.schedule_in(1000000000, [] {});
+    if (--acks_left_ > 0) q_.schedule_in(64, [this, flow] { ack(flow); });
+  }
+
+  lsl::sim::EventQueue q_;
+  std::array<lsl::sim::EventId, 64> timers_{};
+  std::int64_t acks_left_;
+};
+
+void BM_EventQueueTimerRearm(benchmark::State& state) {
+  const std::int64_t n = state.range(0);
+  for (auto _ : state) {
+    TimerRearm flows(n);
+    benchmark::DoNotOptimize(flows.run());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_EventQueueTimerRearm)->Arg(1 << 16);
 
 void BM_IntervalSetSackPattern(benchmark::State& state) {
   // Emulates a SACK scoreboard: scattered inserts then gap scans.

@@ -3,12 +3,43 @@
 #include <algorithm>
 #include <utility>
 
+#include "util/contract.hpp"
+
 namespace lsl::sim {
 
+namespace {
+
+// std heap algorithms build max-heaps; "later" as less-than yields a
+// min-heap on (time, id), i.e. on (time, insertion order).
+struct Later {
+  template <typename K>
+  bool operator()(const K& a, const K& b) const {
+    if (a.time != b.time) return a.time > b.time;
+    return a.id > b.id;
+  }
+};
+
+}  // namespace
+
 EventId EventQueue::schedule_at(util::SimTime t, Callback cb) {
-  const EventId id = next_id_++;
-  heap_.push(Entry{std::max(t, now_), id, std::move(cb)});
-  pending_.insert(id);
+  LSL_PRECONDITION(next_seq_ < kSeqLimit,
+                   "EventQueue: 40-bit event sequence exhausted");
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    LSL_PRECONDITION(slot_ids_.size() <= kSlotMask,
+                     "EventQueue: more than 2^24 pending events");
+    slot = static_cast<std::uint32_t>(slot_ids_.size());
+    slot_ids_.push_back(kInvalidEvent);
+    callbacks_.emplace_back();
+  }
+  const EventId id = (next_seq_++ << kSlotBits) | slot;
+  slot_ids_[slot] = id;
+  callbacks_[slot] = std::move(cb);
+  heap_.push_back(Key{std::max(t, now_), id});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_count_;
   return id;
 }
@@ -18,55 +49,69 @@ EventId EventQueue::schedule_in(util::SimDuration delay, Callback cb) {
                      std::move(cb));
 }
 
-void EventQueue::cancel(EventId id) {
-  // Cancelling an id that never existed or has already fired is a no-op.
-  if (pending_.erase(id) == 0) return;
-  // We cannot cheaply remove from the heap; remember the id and skip it at
-  // pop time. The tombstone is erased when the entry surfaces.
-  cancelled_.insert(id);
-  --live_count_;
+void EventQueue::release(std::uint32_t slot) {
+  slot_ids_[slot] = kInvalidEvent;
+  free_slots_.push_back(slot);
 }
 
-bool EventQueue::pop_next(Entry& out) {
+void EventQueue::cancel(EventId id) {
+  // A fired, cancelled, reused or never-issued id no longer owns its slot.
+  const std::uint32_t slot = slot_of(id);
+  if (id == kInvalidEvent || slot >= slot_ids_.size() ||
+      slot_ids_[slot] != id) {
+    return;
+  }
+  // Destroyed on return, after the slot is consistent again, in case the
+  // callback's captures re-enter the queue from their destructors.
+  const Callback dead = std::move(callbacks_[slot]);
+  release(slot);
+  --live_count_;
+  // The key stays behind as a tombstone. Re-armed timers leave one per
+  // re-arm, so rebuild once they outnumber the live keys.
+  if (heap_.size() - live_count_ > live_count_) compact();
+}
+
+void EventQueue::compact() {
+  std::erase_if(heap_,
+                [this](const Key& k) { return slot_ids_[slot_of(k.id)] != k.id; });
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+bool EventQueue::settle_top() {
   while (!heap_.empty()) {
-    // priority_queue::top() is const; we move via const_cast which is safe
-    // because we pop immediately after.
-    Entry& top = const_cast<Entry&>(heap_.top());
-    Entry e{top.time, top.id, std::move(top.cb)};
-    heap_.pop();
-    const auto it = cancelled_.find(e.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    out = std::move(e);
-    return true;
+    const Key& top = heap_.front();
+    if (slot_ids_[slot_of(top.id)] == top.id) return true;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
   }
   return false;
 }
 
-bool EventQueue::step() {
-  Entry e;
-  if (!pop_next(e)) return false;
-  now_ = e.time;
-  pending_.erase(e.id);
+void EventQueue::fire_top() {
+  const Key k = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+  // Move the callback out first: it may schedule events, which can grow
+  // (and reallocate) the slab or reuse this very slot.
+  const std::uint32_t slot = slot_of(k.id);
+  const Callback cb = std::move(callbacks_[slot]);
+  release(slot);
+  now_ = k.time;
   --live_count_;
   ++executed_;
-  e.cb();
+  cb();
+}
+
+bool EventQueue::step() {
+  if (!settle_top()) return false;
+  fire_top();
   return true;
 }
 
 void EventQueue::run_until(util::SimTime deadline) {
-  Entry e;
-  while (!heap_.empty()) {
-    if (heap_.top().time > deadline) break;
-    if (!pop_next(e)) break;
-    now_ = e.time;
-    pending_.erase(e.id);
-    --live_count_;
-    ++executed_;
-    e.cb();
-  }
+  // settle_top() first, so a cancelled head cannot hide a live event that
+  // lies past the deadline.
+  while (settle_top() && heap_.front().time <= deadline) fire_top();
   now_ = std::max(now_, deadline);
 }
 

@@ -54,8 +54,7 @@ bool Link::wire_drops(const Packet& p) {
 }
 
 void Link::finish_transmission() {
-  Packet p = std::move(queue_.front());
-  queue_.pop_front();
+  Packet p = queue_.pop_front();
   queued_bytes_ -= p.wire_bytes();
 
   ++stats_.packets_sent;
@@ -73,13 +72,17 @@ void Link::finish_transmission() {
     util::SimTime deliver_at = sim_.now() + prop;
     deliver_at = std::max(deliver_at, last_delivery_);
     last_delivery_ = deliver_at;
-    // The callback owns the packet; shared payload buffers make this cheap.
-    sim_.events().schedule_at(
-        deliver_at,
-        [this, pkt = std::move(p)]() mutable { deliver_(std::move(pkt)); });
+    // Delivery times never decrease and equal times fire in scheduling
+    // order, so this event's packet is the head of in_flight_ when it runs.
+    in_flight_.push_back(std::move(p));
+    sim_.events().schedule_at(deliver_at, [this] { deliver_next(); });
   }
 
   start_transmission();
+}
+
+void Link::deliver_next() {
+  deliver_(in_flight_.pop_front());
 }
 
 }  // namespace lsl::sim

@@ -7,10 +7,12 @@
 // process (bursty 802.11b loss in the wireless case).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/packet.hpp"
 #include "sim/simulator.hpp"
@@ -44,6 +46,41 @@ struct LinkStats {
   std::size_t max_queue_bytes = 0;  ///< high-water mark of queued bytes
 };
 
+/// FIFO of packets on a power-of-two ring that only allocates when it
+/// grows, so a busy link queues and delivers without touching the heap.
+class PacketRing {
+ public:
+  bool empty() const { return size_ == 0; }
+  const Packet& front() const { return slots_[head_]; }
+
+  void push_back(Packet&& p) {
+    if (size_ == slots_.size()) grow();
+    slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(p);
+    ++size_;
+  }
+
+  Packet pop_front() {
+    Packet p = std::move(slots_[head_]);
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --size_;
+    return p;
+  }
+
+ private:
+  void grow() {
+    std::vector<Packet> bigger(std::max<std::size_t>(16, 2 * slots_.size()));
+    for (std::size_t i = 0; i < size_; ++i) {
+      bigger[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    }
+    slots_.swap(bigger);
+    head_ = 0;
+  }
+
+  std::vector<Packet> slots_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
 /// One direction of a point-to-point link.
 class Link {
  public:
@@ -73,6 +110,7 @@ class Link {
  private:
   void start_transmission();
   void finish_transmission();
+  void deliver_next();
   bool wire_drops(const Packet& p);
 
   Simulator& sim_;
@@ -81,7 +119,10 @@ class Link {
   DeliverFn deliver_;
   util::Rng rng_;
 
-  std::deque<Packet> queue_;
+  PacketRing queue_;
+  /// Packets on the wire, in delivery order. Deliveries never reorder, so
+  /// each delivery event just takes the head and captures only `this`.
+  PacketRing in_flight_;
   std::size_t queued_bytes_ = 0;
   bool transmitting_ = false;
   bool ge_bad_state_ = false;

@@ -29,17 +29,22 @@ Node& Network::add_router(const std::string& name) {
   return add_node(name, /*is_router=*/true);
 }
 
+void Network::add_link(Node& from, Node& to, const LinkConfig& config) {
+  Node* dst = &to;
+  auto link = std::make_unique<Link>(
+      sim_, from.name() + "->" + to.name(), config,
+      [dst](Packet&& p) { dst->deliver(std::move(p)); });
+  if (link_table_.size() <= from.id()) link_table_.resize(from.id() + 1);
+  std::vector<Link*>& row = link_table_[from.id()];
+  if (row.size() <= to.id()) row.resize(to.id() + 1, nullptr);
+  row[to.id()] = link.get();
+  adjacency_[from.id()][to.id()] = std::move(link);
+}
+
 void Network::connect(Node& a, Node& b, const LinkConfig& ab,
                       const LinkConfig& ba) {
-  const NodeId ai = a.id(), bi = b.id();
-  Node* bp = &b;
-  Node* ap = &a;
-  adjacency_[ai][bi] = std::make_unique<Link>(
-      sim_, a.name() + "->" + b.name(), ab,
-      [bp](Packet&& p) { bp->deliver(std::move(p)); });
-  adjacency_[bi][ai] = std::make_unique<Link>(
-      sim_, b.name() + "->" + a.name(), ba,
-      [ap](Packet&& p) { ap->deliver(std::move(p)); });
+  add_link(a, b, ab);
+  add_link(b, a, ba);
   routes_dirty_ = true;
 }
 
@@ -59,10 +64,8 @@ Node* Network::find_node(const std::string& name) {
 }
 
 Link* Network::link_between(NodeId a, NodeId b) {
-  const auto it = adjacency_.find(a);
-  if (it == adjacency_.end()) return nullptr;
-  const auto jt = it->second.find(b);
-  return jt == it->second.end() ? nullptr : jt->second.get();
+  if (a >= link_table_.size() || b >= link_table_[a].size()) return nullptr;
+  return link_table_[a][b];
 }
 
 void Network::compute_routes() {

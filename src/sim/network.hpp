@@ -75,13 +75,17 @@ class Network {
 
  private:
   Node& add_node(const std::string& name, bool is_router);
+  void add_link(Node& from, Node& to, const LinkConfig& config);
 
   Simulator sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unordered_map<std::string, NodeId> by_name_;
-  // adjacency_[a][b] = link a->b
+  // adjacency_[a][b] = link a->b; owns the links and fixes the order in
+  // which compute_routes() relaxes them.
   std::unordered_map<NodeId, std::unordered_map<NodeId, std::unique_ptr<Link>>>
       adjacency_;
+  // link_table_[a][b] = link a->b or nullptr: the per-packet lookup.
+  std::vector<std::vector<Link*>> link_table_;
   // next_hop_[src][dst] = neighbour to forward through
   std::vector<std::vector<NodeId>> next_hop_;
   bool routes_dirty_ = true;

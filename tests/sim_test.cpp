@@ -2,12 +2,18 @@
 // timing/loss/queueing, routing, and the cross-traffic generator.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sim/cross_traffic.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/link.hpp"
 #include "sim/network.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace lsl::sim {
@@ -99,6 +105,206 @@ TEST(EventQueue, PastScheduleClampsToNow) {
     q.schedule_at(1, [&] { EXPECT_EQ(q.now(), 100); });
   });
   q.run();
+}
+
+TEST(EventQueue, RunUntilDoesNotRunPastDeadlineBehindCancelledHead) {
+  EventQueue q;
+  int fired = 0;
+  const EventId head = q.schedule_at(10, [&] { ++fired; });
+  q.schedule_at(30, [&] { ++fired; });
+  q.cancel(head);
+  q.run_until(20);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(q.now(), 20);
+  EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(EventQueue, StaleIdDoesNotCancelTheSlotsNextEvent) {
+  EventQueue q;
+  int fired = 0;
+  const EventId first = q.schedule_at(10, [&] { ++fired; });
+  ASSERT_TRUE(q.step());
+  // The freed slot is reused; the old id must not reach the new event.
+  const EventId second = q.schedule_at(20, [&] { ++fired; });
+  EXPECT_NE(first, second);
+  q.cancel(first);
+  EXPECT_EQ(q.size(), 1u);
+  q.run();
+  EXPECT_EQ(fired, 2);
+}
+
+// Differential test: seeded random interleavings of every public operation,
+// checked against a std::map ordered by (time, schedule order).
+class EventQueueDifferential {
+ public:
+  explicit EventQueueDifferential(std::uint64_t seed) : rng_(seed) {}
+
+  void run_random_phase(int ops) {
+    for (int i = 0; i < ops && !::testing::Test::HasFailure(); ++i) {
+      const std::uint64_t r = rng_.uniform_int(0, 99);
+      if (r < 35) {
+        schedule(q_.now() + offset(), /*relative=*/false);
+      } else if (r < 55) {
+        schedule(offset(), /*relative=*/true);
+      } else if (r < 75) {
+        cancel(pick_id());
+      } else if (r < 90) {
+        step();
+      } else {
+        run_until(q_.now() +
+                  static_cast<util::SimTime>(rng_.uniform_int(0, 200)));
+      }
+      check_state();
+    }
+  }
+
+  /// Far-future timers re-armed over and over, the TCP RTO pattern: the
+  /// tombstones come to outnumber the live keys many times over.
+  void run_cancel_heavy_phase(int timers, int rounds) {
+    std::vector<EventId> armed;
+    for (int i = 0; i < timers; ++i) {
+      armed.push_back(schedule(q_.now() + 1000000 + i, /*relative=*/false));
+    }
+    for (int round = 0; round < rounds && !::testing::Test::HasFailure();
+         ++round) {
+      for (EventId& id : armed) {
+        cancel(id);
+        id = schedule(q_.now() + 1000000 + offset(), /*relative=*/false);
+      }
+      for (int i = 0; i < timers / 4; ++i) cancel(pick_id());
+      schedule(offset(), /*relative=*/true);
+      step();
+      check_state();
+    }
+  }
+
+  void drain() {
+    deadline_ = std::numeric_limits<util::SimTime>::max();
+    q_.run();
+    EXPECT_TRUE(model_.empty());
+    check_state();
+  }
+
+  std::uint64_t fired() const { return executed_; }
+
+ private:
+  struct Pending {
+    int tag;
+    EventId id;
+  };
+  using Key = std::pair<util::SimTime, std::uint64_t>;
+
+  util::SimDuration offset() {
+    // Small range: plenty of equal times, and some "past" requests.
+    return static_cast<util::SimDuration>(rng_.uniform_int(0, 320)) - 20;
+  }
+
+  EventId schedule(util::SimTime t, bool relative) {
+    const int tag = next_tag_++;
+    auto cb = [this, tag] { on_fire(tag); };
+    const EventId id = relative ? q_.schedule_in(t, cb) : q_.schedule_at(t, cb);
+    const util::SimTime at = std::max(relative ? now_ + t : t, now_);
+    EXPECT_NE(id, kInvalidEvent);
+    EXPECT_TRUE(issued_set_.insert(id).second) << "id reissued: " << id;
+    const Key key{at, next_seq_++};
+    model_[key] = Pending{tag, id};
+    key_of_[id] = key;
+    issued_.push_back(id);
+    return id;
+  }
+
+  void cancel(EventId id) {
+    q_.cancel(id);
+    const auto it = key_of_.find(id);
+    if (it == key_of_.end()) return;
+    model_.erase(it->second);
+    key_of_.erase(it);
+  }
+
+  EventId pick_id() {
+    const std::uint64_t r = rng_.uniform_int(0, 9);
+    if (r == 0 || issued_.empty()) return kInvalidEvent;
+    if (r == 1) {
+      // Never issued: a sequence beyond every id handed out so far.
+      return ((next_seq_ + rng_.uniform_int(1, 1000)) << 24) |
+             rng_.uniform_int(0, 63);
+    }
+    if (r == 2) return rng_.uniform_int(1, 63);  // sequence 0, never issued
+    // Pending, fired or cancelled; stale ids after slot reuse included.
+    return issued_[rng_.uniform_int(0, issued_.size() - 1)];
+  }
+
+  void step() {
+    deadline_ = std::numeric_limits<util::SimTime>::max();
+    const bool expected = !model_.empty();
+    EXPECT_EQ(q_.step(), expected);
+  }
+
+  void run_until(util::SimTime deadline) {
+    deadline_ = deadline;
+    q_.run_until(deadline);
+    if (!model_.empty()) {
+      EXPECT_GT(model_.begin()->first.first, deadline);
+    }
+    now_ = std::max(now_, deadline);
+  }
+
+  void on_fire(int tag) {
+    // The model fires its earliest event; the queue must have chosen it.
+    ASSERT_FALSE(model_.empty()) << "fired tag " << tag << " unexpectedly";
+    const auto head = model_.begin();
+    EXPECT_EQ(head->second.tag, tag);
+    EXPECT_EQ(head->first.first, q_.now());
+    EXPECT_LE(q_.now(), deadline_);
+    now_ = head->first.first;
+    key_of_.erase(head->second.id);
+    model_.erase(head);
+    ++executed_;
+    EXPECT_EQ(q_.executed_count(), executed_);
+    EXPECT_EQ(q_.size(), model_.size());
+    // Re-entrant work from inside a callback: schedule (growing the slab
+    // when the free list runs dry) and cancel, own id included. Fewer than
+    // one child per firing on average, so draining terminates.
+    if (tag % 5 == 0) {
+      for (int i = 0; i < 2; ++i) schedule(offset(), /*relative=*/true);
+      cancel(pick_id());
+    }
+    if (tag % 251 == 0) {
+      for (int i = 0; i < 32; ++i) schedule(q_.now() + offset(), false);
+    }
+    if (tag % 7 == 0) cancel(issued_.back());
+  }
+
+  void check_state() {
+    EXPECT_EQ(q_.now(), now_);
+    EXPECT_EQ(q_.size(), model_.size());
+    EXPECT_EQ(q_.empty(), model_.empty());
+    EXPECT_EQ(q_.executed_count(), executed_);
+  }
+
+  EventQueue q_;
+  util::Rng rng_;
+  std::map<Key, Pending> model_;
+  std::map<EventId, Key> key_of_;
+  std::vector<EventId> issued_;
+  std::unordered_set<EventId> issued_set_;
+  util::SimTime now_ = 0;
+  util::SimTime deadline_ = std::numeric_limits<util::SimTime>::max();
+  std::uint64_t executed_ = 0;
+  std::uint64_t next_seq_ = 1;
+  int next_tag_ = 0;
+};
+
+TEST(EventQueue, MatchesReferenceModelUnderRandomInterleavings) {
+  for (std::uint64_t seed = 1; seed <= 8 && !HasFailure(); ++seed) {
+    SCOPED_TRACE(seed);
+    EventQueueDifferential d(seed);
+    d.run_random_phase(4000);
+    d.run_cancel_heavy_phase(/*timers=*/200, /*rounds=*/50);
+    d.run_random_phase(2000);
+    d.drain();
+    EXPECT_GT(d.fired(), 1000u);
+  }
 }
 
 // --- link --------------------------------------------------------------------
