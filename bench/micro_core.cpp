@@ -1,16 +1,21 @@
 // Micro-benchmarks (google-benchmark) of the core building blocks: MD5
-// hashing, the discrete-event queue, the SACK interval set, the payload
+// hashing, the discrete-event queue, a chain of simulated links, the SACK
+// interval set, the payload
 // generator and verifier, trace analysis, and the PRNG. These bound the
 // simulator's own overheads so the figure benches' wall-clock behaviour is
 // explainable.
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "lsl/payload.hpp"
 #include "md5/md5.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/link.hpp"
+#include "sim/simulator.hpp"
 #include "trace/analysis.hpp"
 #include "util/interval_set.hpp"
 #include "util/rng.hpp"
@@ -102,6 +107,50 @@ void BM_EventQueueTimerRearm(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }
 BENCHMARK(BM_EventQueueTimerRearm)->Arg(1 << 16);
+
+// A saturated 3-hop chain of Links: every packet is queued on the first
+// hop at once and each hop forwards to the next at the same line rate, so
+// all three stay busy. Items are packet-hops; events_per_packet_hop is the
+// number of simulator events each one costs.
+void BM_LinkChain(benchmark::State& state) {
+  constexpr std::size_t kHops = 3;
+  const std::int64_t n = state.range(0);
+  lsl::sim::LinkConfig cfg;
+  cfg.rate = lsl::util::DataRate::gbps(1);
+  cfg.delay = lsl::util::millis(1);
+  cfg.queue_bytes = static_cast<std::size_t>(n) * 1600;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    lsl::sim::Simulator sim(1);
+    std::int64_t arrived = 0;
+    std::array<std::unique_ptr<lsl::sim::Link>, kHops> hops;
+    for (std::size_t h = kHops; h-- > 0;) {
+      lsl::sim::Link* next = h + 1 < kHops ? hops[h + 1].get() : nullptr;
+      hops[h] = std::make_unique<lsl::sim::Link>(
+          sim, "hop", cfg, [next, &arrived](lsl::sim::Packet&& p) {
+            if (next != nullptr) {
+              next->send(std::move(p));
+            } else {
+              ++arrived;
+            }
+          });
+    }
+    for (std::int64_t i = 0; i < n; ++i) {
+      lsl::sim::Packet p;
+      p.payload_bytes = lsl::sim::kDefaultMss;
+      hops[0]->send(std::move(p));
+    }
+    sim.events().run();
+    if (arrived != n) state.SkipWithError("packets lost in the chain");
+    events += sim.events().executed_count();
+  }
+  const auto packet_hops =
+      static_cast<std::int64_t>(state.iterations()) * n * kHops;
+  state.SetItemsProcessed(packet_hops);
+  state.counters["events_per_packet_hop"] =
+      static_cast<double>(events) / static_cast<double>(packet_hops);
+}
+BENCHMARK(BM_LinkChain)->Arg(1 << 12);
 
 void BM_IntervalSetSackPattern(benchmark::State& state) {
   // Emulates a SACK scoreboard: scattered inserts then gap scans.

@@ -32,9 +32,10 @@
 # The baseline file is then refreshed. With --update, comparison is
 # skipped (use after intentional perf-relevant changes).
 #
-# Simulator event core (report-only, no gate): micro_core's BM_EventQueue*
-# benchmarks run 5 times each; their median items/s and the host's CPU
-# count are written to BENCH_sim.json before any pool leg runs.
+# Simulator core (report-only, no gate): micro_core's BM_EventQueue* and
+# BM_LinkChain benchmarks run 5 times each; their median items/s, the
+# chain's events per packet-hop and the host's CPU count are written to
+# BENCH_sim.json before any pool leg runs.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -56,7 +57,7 @@ cmake --build build -j "$jobs" --target lsl_load micro_core >/dev/null
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-./build/bench/micro_core --benchmark_filter=BM_EventQueue \
+./build/bench/micro_core --benchmark_filter='BM_EventQueue|BM_LinkChain' \
   --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
   --benchmark_format=json >"$tmp/sim.json" 2>/dev/null
 python3 - "$tmp/sim.json" BENCH_sim.json "$cpus" <<'EOF'
@@ -70,11 +71,16 @@ result = {
         b["run_name"]: round(b["items_per_second"])
         for b in runs if b.get("aggregate_name") == "median"
     },
+    "median_events_per_packet_hop": {
+        b["run_name"]: round(b["events_per_packet_hop"], 3)
+        for b in runs
+        if b.get("aggregate_name") == "median" and "events_per_packet_hop" in b
+    },
 }
 with open(sys.argv[2], "w") as f:
     json.dump(result, f, indent=2)
     f.write("\n")
-print("bench_smoke: simulator event core ->", sys.argv[2])
+print("bench_smoke: simulator core ->", sys.argv[2])
 EOF
 
 # Splice fast path: the loopback throughput baseline.

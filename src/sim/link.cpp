@@ -1,6 +1,7 @@
 #include "sim/link.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace lsl::sim {
@@ -11,78 +12,150 @@ Link::Link(Simulator& sim, std::string name, const LinkConfig& config,
       name_(std::move(name)),
       config_(config),
       deliver_(std::move(deliver)),
-      rng_(sim.make_rng()) {}
+      live_{sim.make_rng()},
+      checkpoint_(live_) {}
+
+void Link::retire() const {
+  const util::SimTime now = sim_.now();
+  while (departed_ < slots_.size() && slots_[departed_].depart <= now) {
+    const Slot& s = slots_[departed_++];
+    queued_bytes_ -= s.bytes;
+    ++stats_.packets_sent;
+    stats_.bytes_sent += s.bytes;
+    if (s.lost) {
+      ++stats_.drops_wire;
+    } else {
+      departed_delivery_ = s.deliver_at;
+    }
+  }
+}
+
+void Link::pop_departed_losses() {
+  // unscheduled_ stops only at survivors, so a lost head lies behind it.
+  while (departed_ > 0 && slots_[0].lost) {
+    slots_.pop_front();
+    --departed_;
+    --unscheduled_;
+  }
+}
 
 void Link::send(Packet&& p) {
-  const std::size_t size = p.wire_bytes();
-  if (queued_bytes_ + size > config_.queue_bytes && !queue_.empty()) {
+  retire();
+  pop_departed_losses();
+  const std::uint32_t size = p.wire_bytes();
+  const bool busy = departed_ < slots_.size();
+  if (busy && queued_bytes_ + size > config_.queue_bytes) {
     ++stats_.drops_queue;
     return;
   }
   queued_bytes_ += size;
   stats_.max_queue_bytes = std::max(stats_.max_queue_bytes, queued_bytes_);
-  queue_.push_back(std::move(p));
-  if (!transmitting_) start_transmission();
+  busy_until_ = std::max(busy_until_, sim_.now()) +
+                config_.rate.transmission_time(size);
+  ++accepted_;
+  Slot& s = slots_.push_back();
+  s.packet = std::move(p);
+  s.depart = busy_until_;
+  s.bytes = size;
+  draw(s);
+  schedule_due();
 }
 
-void Link::start_transmission() {
-  if (queue_.empty()) {
-    transmitting_ = false;
-    return;
-  }
-  transmitting_ = true;
-  const auto& head = queue_.front();
-  const util::SimDuration tx = config_.rate.transmission_time(head.wire_bytes());
-  sim_.events().schedule_in(tx, [this] { finish_transmission(); });
-}
-
-bool Link::wire_drops(const Packet& p) {
-  (void)p;
+bool Link::survives(DrawState& d, util::SimDuration& prop) const {
+  bool lost;
   if (config_.gilbert_elliott) {
     // State transition is evaluated per packet, then loss is drawn from the
     // current state's loss probability.
-    if (ge_bad_state_) {
-      if (rng_.bernoulli(config_.ge_bad_to_good)) ge_bad_state_ = false;
+    if (d.ge_bad) {
+      if (d.rng.bernoulli(config_.ge_bad_to_good)) d.ge_bad = false;
     } else {
-      if (rng_.bernoulli(config_.ge_good_to_bad)) ge_bad_state_ = true;
+      if (d.rng.bernoulli(config_.ge_good_to_bad)) d.ge_bad = true;
     }
-    const double p_loss =
-        ge_bad_state_ ? config_.ge_loss_bad : config_.ge_loss_good;
-    return rng_.bernoulli(p_loss);
+    lost = d.rng.bernoulli(d.ge_bad ? config_.ge_loss_bad
+                                    : config_.ge_loss_good);
+  } else {
+    lost = d.rng.bernoulli(config_.loss_rate);
   }
-  return rng_.bernoulli(config_.loss_rate);
+  if (lost) return false;
+  prop = config_.delay;
+  if (config_.jitter > 0) {
+    prop += static_cast<util::SimDuration>(
+        d.rng.uniform(0.0, static_cast<double>(config_.jitter)));
+  }
+  return true;
 }
 
-void Link::finish_transmission() {
-  Packet p = queue_.pop_front();
-  queued_bytes_ -= p.wire_bytes();
+void Link::draw(Slot& s) {
+  util::SimDuration prop;
+  s.lost = !survives(live_, prop);
+  s.delivery = kInvalidEvent;
+  if (s.lost) return;
+  // A physical link is FIFO: jitter may stretch delays but never reorder.
+  s.deliver_at = std::max(s.depart + prop, last_delivery_);
+  last_delivery_ = s.deliver_at;
+}
 
-  ++stats_.packets_sent;
-  stats_.bytes_sent += p.wire_bytes();
-
-  if (wire_drops(p)) {
-    ++stats_.drops_wire;
-  } else {
-    util::SimDuration prop = config_.delay;
-    if (config_.jitter > 0) {
-      prop += static_cast<util::SimDuration>(
-          rng_.uniform(0.0, static_cast<double>(config_.jitter)));
+void Link::schedule_due() {
+  // The earliest outstanding delivery is the first survivor's, if it has
+  // been scheduled.
+  util::SimTime next_wake = std::numeric_limits<util::SimTime>::max();
+  for (std::size_t i = 0; i < unscheduled_; ++i) {
+    if (!slots_[i].lost) {
+      next_wake = slots_[i].deliver_at;
+      break;
     }
-    // A physical link is FIFO: jitter may stretch delays but never reorder.
-    util::SimTime deliver_at = sim_.now() + prop;
-    deliver_at = std::max(deliver_at, last_delivery_);
-    last_delivery_ = deliver_at;
-    // Delivery times never decrease and equal times fire in scheduling
-    // order, so this event's packet is the head of in_flight_ when it runs.
-    in_flight_.push_back(std::move(p));
-    sim_.events().schedule_at(deliver_at, [this] { deliver_next(); });
   }
-
-  start_transmission();
+  for (; unscheduled_ < slots_.size(); ++unscheduled_) {
+    Slot& s = slots_[unscheduled_];
+    if (s.lost) continue;
+    // An earlier delivery fires before this packet departs: decide then.
+    if (next_wake <= s.depart) return;
+    // Delivery times never decrease and equal times fire in scheduling
+    // order, so the first packet not yet delivered or lost is this event's.
+    s.delivery =
+        sim_.events().schedule_at(s.deliver_at, [this] { deliver_next(); });
+    next_wake = std::min(next_wake, s.deliver_at);
+  }
 }
 
 void Link::deliver_next() {
-  deliver_(in_flight_.pop_front());
+  // The packet arrives after it departed, so everything ahead of it has
+  // departed too and only losses stand in front of it.
+  retire();
+  pop_departed_losses();
+  --departed_;
+  --unscheduled_;
+  Slot head = slots_.pop_front();
+  schedule_due();
+  deliver_(std::move(head.packet));
+}
+
+void Link::set_loss_rate(double p) {
+  // Gilbert–Elliott ignores loss_rate, and an unchanged rate redraws the
+  // same fates, so neither needs a rewind.
+  if (p == config_.loss_rate || config_.gilbert_elliott) {
+    config_.loss_rate = p;
+    return;
+  }
+  retire();
+  pop_departed_losses();
+  const std::size_t first = departed_;
+  const std::uint64_t first_seq = accepted_ - (slots_.size() - first);
+  // Replay the departed packets' draws under the old rate: that is the
+  // state the first packet still in the queue drew from.
+  util::SimDuration prop;
+  for (; checkpoint_seq_ < first_seq; ++checkpoint_seq_) {
+    survives(checkpoint_, prop);
+  }
+  config_.loss_rate = p;
+  live_ = checkpoint_;
+  last_delivery_ = departed_delivery_;
+  for (std::size_t i = first; i < slots_.size(); ++i) {
+    sim_.events().cancel(slots_[i].delivery);
+    draw(slots_[i]);
+  }
+  unscheduled_ = std::min(unscheduled_, first);
+  schedule_due();
 }
 
 }  // namespace lsl::sim

@@ -2,9 +2,12 @@
 // timing/loss/queueing, routing, and the cross-traffic generator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <map>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -38,10 +41,20 @@ TEST(EventQueue, ExecutesInTimeOrder) {
 
 TEST(EventQueue, TiesBreakByInsertionOrder) {
   EventQueue q;
+  // Free five slots in a scrambled order first, so the tied events below
+  // reuse them out of slot order: only the insertion sequence in the ids'
+  // high bits can then put them in order.
+  std::vector<EventId> scratch;
+  for (int i = 0; i < 5; ++i) scratch.push_back(q.schedule_at(50, [] {}));
+  for (const std::size_t i : {2u, 0u, 4u, 1u, 3u}) q.cancel(scratch[i]);
+
   std::vector<int> order;
+  std::vector<std::uint64_t> slots;
   for (int i = 0; i < 5; ++i) {
-    q.schedule_at(100, [&order, i] { order.push_back(i); });
+    const EventId id = q.schedule_at(100, [&order, i] { order.push_back(i); });
+    slots.push_back(id & ((std::uint64_t{1} << 24) - 1));
   }
+  ASSERT_FALSE(std::is_sorted(slots.begin(), slots.end()));
   q.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -424,6 +437,250 @@ TEST(Link, JitterNeverReorders) {
   for (std::size_t i = 1; i < serials.size(); ++i) {
     EXPECT_LT(serials[i - 1], serials[i]) << "reordered at " << i;
   }
+}
+
+TEST(Link, LossRateChangeAppliesToQueuedPackets) {
+  // 10 ms of serialisation per packet, 50 ms of propagation. A departs at
+  // 10 ms, B at 20, C at 30, D at 40. The link blackholes from 15 ms to
+  // 35 ms: A had already left, B and C leave inside the window, D after.
+  Simulator sim(5);
+  std::vector<std::pair<util::SimTime, std::uint64_t>> arrivals;
+  LinkConfig cfg;
+  cfg.rate = util::DataRate::kbps(800);  // 10 us per byte
+  cfg.delay = 50 * kMillisecond;
+  Link link(sim, "l", cfg, [&](Packet&& p) {
+    arrivals.emplace_back(sim.now(), p.serial);
+  });
+  for (std::uint64_t i = 1; i <= 4; ++i) {
+    auto p = make_packet(0, 1, 972);  // 1000 wire bytes
+    p.serial = i;
+    link.send(std::move(p));
+  }
+  sim.events().schedule_at(15 * kMillisecond, [&] { link.set_loss_rate(1.0); });
+  sim.events().schedule_at(35 * kMillisecond, [&] { link.set_loss_rate(0.0); });
+  sim.events().run();
+  const std::vector<std::pair<util::SimTime, std::uint64_t>> want = {
+      {60 * kMillisecond, 1}, {90 * kMillisecond, 4}};
+  EXPECT_EQ(arrivals, want);
+  EXPECT_EQ(link.stats().drops_wire, 2u);
+  EXPECT_EQ(link.stats().packets_sent, 4u);
+}
+
+// The event-per-departure link the analytic Link replaced, kept as the
+// reference model: a finish_transmission event ends every packet's
+// serialisation, and loss and jitter are drawn there.
+class ReferenceLink {
+ public:
+  ReferenceLink(Simulator& sim, const LinkConfig& config,
+                Link::DeliverFn deliver)
+      : sim_(sim),
+        config_(config),
+        deliver_(std::move(deliver)),
+        rng_(sim.make_rng()) {}
+
+  void send(Packet&& p) {
+    const std::size_t size = p.wire_bytes();
+    if (queued_bytes_ + size > config_.queue_bytes && !queue_.empty()) {
+      ++stats_.drops_queue;
+      return;
+    }
+    queued_bytes_ += size;
+    stats_.max_queue_bytes = std::max(stats_.max_queue_bytes, queued_bytes_);
+    queue_.push_back(std::move(p));
+    if (!transmitting_) start_transmission();
+  }
+
+  const LinkStats& stats() const { return stats_; }
+  std::size_t queued_bytes() const { return queued_bytes_; }
+  void set_loss_rate(double p) { config_.loss_rate = p; }
+
+ private:
+  void start_transmission() {
+    transmitting_ = !queue_.empty();
+    if (!transmitting_) return;
+    sim_.events().schedule_in(
+        config_.rate.transmission_time(queue_.front().wire_bytes()),
+        [this] { finish_transmission(); });
+  }
+
+  bool wire_drops() {
+    if (config_.gilbert_elliott) {
+      if (ge_bad_state_) {
+        if (rng_.bernoulli(config_.ge_bad_to_good)) ge_bad_state_ = false;
+      } else {
+        if (rng_.bernoulli(config_.ge_good_to_bad)) ge_bad_state_ = true;
+      }
+      return rng_.bernoulli(ge_bad_state_ ? config_.ge_loss_bad
+                                          : config_.ge_loss_good);
+    }
+    return rng_.bernoulli(config_.loss_rate);
+  }
+
+  void finish_transmission() {
+    Packet p = std::move(queue_.front());
+    queue_.pop_front();
+    queued_bytes_ -= p.wire_bytes();
+    ++stats_.packets_sent;
+    stats_.bytes_sent += p.wire_bytes();
+    if (wire_drops()) {
+      ++stats_.drops_wire;
+    } else {
+      util::SimDuration prop = config_.delay;
+      if (config_.jitter > 0) {
+        prop += static_cast<util::SimDuration>(
+            rng_.uniform(0.0, static_cast<double>(config_.jitter)));
+      }
+      const util::SimTime at = std::max(sim_.now() + prop, last_delivery_);
+      last_delivery_ = at;
+      in_flight_.push_back(std::move(p));
+      sim_.events().schedule_at(at, [this] {
+        Packet head = std::move(in_flight_.front());
+        in_flight_.pop_front();
+        deliver_(std::move(head));
+      });
+    }
+    start_transmission();
+  }
+
+  Simulator& sim_;
+  LinkConfig config_;
+  Link::DeliverFn deliver_;
+  util::Rng rng_;
+  std::deque<Packet> queue_;
+  std::deque<Packet> in_flight_;
+  std::size_t queued_bytes_ = 0;
+  bool transmitting_ = false;
+  bool ge_bad_state_ = false;
+  util::SimTime last_delivery_ = 0;
+  LinkStats stats_;
+};
+
+// One seeded script of link activity: bursts of sends, loss-rate changes
+// and mid-run readings. Every action gets its own residue modulo the
+// per-byte serialisation time (800 ns at 10 Mbit/s) while every departure
+// shares the residue of the send that opened its busy period, so no action
+// lands on the very nanosecond a packet departs. (At such a tie the old
+// link's ordering of the two events, not the model, decides the outcome.)
+struct LinkScript {
+  static constexpr util::SimDuration kNsPerByte = 800;
+
+  struct Action {
+    util::SimTime at;
+    std::vector<std::uint32_t> burst;  ///< payload sizes; empty = rate change
+    double loss_rate = 0.0;
+  };
+
+  LinkScript(std::uint64_t seed, double base_rate) {
+    util::Rng rng(seed);
+    const double rates[] = {0.0, 1.0, base_rate};
+    for (std::uint64_t i = 0; i < 300; ++i) {
+      Action a;
+      a.at = static_cast<util::SimTime>(rng.uniform_int(0, 500)) *
+                 kNsPerByte * 1000 +
+             static_cast<util::SimTime>(i + 1);
+      if (rng.uniform_int(0, 9) == 0) {
+        a.loss_rate = rates[rng.uniform_int(0, 2)];
+      } else {
+        const std::uint64_t n = rng.uniform_int(1, 12);
+        for (std::uint64_t k = 0; k < n; ++k) {
+          a.burst.push_back(
+              static_cast<std::uint32_t>(rng.uniform_int(12, 1472)));
+        }
+      }
+      actions.push_back(std::move(a));
+    }
+    for (int k = 1; k <= 40; ++k) readings.push_back(k * 10 * kMillisecond);
+  }
+
+  std::vector<Action> actions;
+  std::vector<util::SimTime> readings;  ///< run_until points
+};
+
+struct LinkTrace {
+  std::vector<std::pair<util::SimTime, std::uint64_t>> delivered;
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                         std::uint64_t, std::size_t, std::size_t>>
+      readings;  ///< LinkStats fields, then queued_bytes()
+  int rate_changes_with_queue = 0;
+};
+
+template <typename L>
+LinkTrace run_link_script(const LinkConfig& cfg, const LinkScript& script) {
+  Simulator sim(11);
+  LinkTrace trace;
+  L link(sim, cfg, [&](Packet&& p) {
+    trace.delivered.emplace_back(sim.now(), p.serial);
+  });
+  std::uint64_t serial = 0;
+  for (const LinkScript::Action& a : script.actions) {
+    sim.events().schedule_at(a.at, [&] {
+      if (a.burst.empty()) {
+        if (link.queued_bytes() > 0) ++trace.rate_changes_with_queue;
+        link.set_loss_rate(a.loss_rate);
+        return;
+      }
+      for (const std::uint32_t size : a.burst) {
+        Packet p = make_packet(0, 1, size);
+        p.serial = ++serial;
+        link.send(std::move(p));
+      }
+    });
+  }
+  const auto read = [&] {
+    const LinkStats& s = link.stats();
+    trace.readings.emplace_back(s.packets_sent, s.bytes_sent, s.drops_queue,
+                                s.drops_wire, s.max_queue_bytes,
+                                link.queued_bytes());
+  };
+  for (const util::SimTime t : script.readings) {
+    sim.events().run_until(t);
+    read();
+  }
+  sim.events().run();
+  read();
+  return trace;
+}
+
+// Link's constructor has a name argument the reference does not.
+struct AnalyticLink : Link {
+  AnalyticLink(Simulator& sim, const LinkConfig& cfg, DeliverFn deliver)
+      : Link(sim, "l", cfg, std::move(deliver)) {}
+};
+
+TEST(Link, MatchesEventPerDepartureReferenceModel) {
+  LinkConfig bernoulli;
+  bernoulli.rate = util::DataRate::mbps(10);  // LinkScript::kNsPerByte
+  bernoulli.delay = 5 * kMillisecond;
+  bernoulli.queue_bytes = 24 * util::kKiB;
+  bernoulli.loss_rate = 0.05;
+  LinkConfig jittery = bernoulli;
+  jittery.jitter = 3 * kMillisecond;  // far above a packet's serialisation
+  LinkConfig lossless = jittery;
+  lossless.loss_rate = 0.0;
+  LinkConfig bursty = jittery;
+  bursty.gilbert_elliott = true;
+  bursty.ge_good_to_bad = 0.05;
+  bursty.ge_bad_to_good = 0.3;
+  bursty.ge_loss_good = 0.01;
+  bursty.ge_loss_bad = 0.6;
+
+  int rate_changes_with_queue = 0;
+  for (const LinkConfig& cfg : {bernoulli, jittery, lossless, bursty}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(testing::Message()
+                   << "loss " << cfg.loss_rate << " jitter " << cfg.jitter
+                   << " ge " << cfg.gilbert_elliott << " seed " << seed);
+      const LinkScript script(seed, cfg.loss_rate);
+      const LinkTrace want = run_link_script<ReferenceLink>(cfg, script);
+      const LinkTrace got = run_link_script<AnalyticLink>(cfg, script);
+      EXPECT_GT(want.delivered.size(), 500u);
+      EXPECT_EQ(got.delivered, want.delivered);
+      EXPECT_EQ(got.readings, want.readings);
+      rate_changes_with_queue += want.rate_changes_with_queue;
+    }
+  }
+  // The rewind path ran: rates changed under packets still queued.
+  EXPECT_GT(rate_changes_with_queue, 20);
 }
 
 // --- network / routing -------------------------------------------------------
